@@ -16,7 +16,6 @@ from .lattice import (
     Vec,
     ZeroIdeal,
     box_enumerate,
-    contains_monomial,
     format_ideal,
     format_vector,
     le_pr,
@@ -35,7 +34,6 @@ from .newton import (
     integral_closure,
     is_integrally_closed,
     is_normal,
-    np_contains,
     power,
 )
 from .ilambda import (
@@ -53,7 +51,6 @@ from .ilambda import (
 )
 from .monoid import (
     FAILURE,
-    FractionalMonoid,
     QUASINORMAL_ON_WINDOW,
     VACUOUS,
     WindowVerdict,
@@ -67,7 +64,6 @@ from .monoid import (
 from .rees import (
     MonomialPrime,
     ReesSemigroup,
-    build_semigroup,
     express_on_facet,
     grp_facet_check,
     height_one_primes,
@@ -83,7 +79,6 @@ __all__ = [
     "Vec",
     "ZeroIdeal",
     "box_enumerate",
-    "contains_monomial",
     "format_ideal",
     "format_vector",
     "le_pr",
@@ -100,7 +95,6 @@ __all__ = [
     "integral_closure",
     "is_integrally_closed",
     "is_normal",
-    "np_contains",
     "power",
     "CongruenceReduction",
     "EQUIVALENT",
@@ -114,7 +108,6 @@ __all__ = [
     "is_normal_lambda",
     "j_ideal",
     "FAILURE",
-    "FractionalMonoid",
     "QUASINORMAL_ON_WINDOW",
     "VACUOUS",
     "WindowVerdict",
@@ -126,7 +119,6 @@ __all__ = [
     "quasinormal_window",
     "MonomialPrime",
     "ReesSemigroup",
-    "build_semigroup",
     "express_on_facet",
     "grp_facet_check",
     "height_one_primes",

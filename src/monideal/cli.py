@@ -36,15 +36,14 @@ from .lattice import (
 )
 from .monoid import (
     FAILURE,
-    FractionalMonoid,
     almost_quasinormal,
     default_window_bound,
     in_M,
     quasinormal_window,
 )
-from .newton import integral_closure, is_normal, np_contains, power
+from .newton import NewtonPolyhedron, integral_closure, is_normal, power
 from .oracles import closure_oracle, split_oracle, window_split_oracle
-from .rees import build_semigroup, height_one_primes, r1_satisfied
+from .rees import ReesSemigroup, height_one_primes, r1_satisfied
 
 CSV_HEADER = [
     "lambda",
@@ -126,20 +125,18 @@ def cmd_ilambda_gens(args) -> dict:
 
 def cmd_monoid_almost_qn(args) -> dict:
     spec = LambdaSpec.parse(args.lam)
-    mon = FractionalMonoid(spec)
     return {
         "lambda": list(spec.lam),
         "L": spec.L,
         "omega": list(spec.omega),
         "target": spec.L + 1,
-        "almost_quasinormal": almost_quasinormal(mon),
+        "almost_quasinormal": almost_quasinormal(spec),
     }
 
 
 def cmd_monoid_quasinormal(args) -> dict:
     spec = LambdaSpec.parse(args.lam)
-    mon = FractionalMonoid(spec)
-    verdict = quasinormal_window(mon, args.bound)
+    verdict = quasinormal_window(spec, args.bound)
     witness = None
     if verdict.witness is not None:
         s, p = verdict.witness
@@ -165,7 +162,7 @@ def cmd_rees_r1(args) -> dict:
 
 def cmd_rees_primes(args) -> dict:
     spec = LambdaSpec.parse(args.lam)
-    S = build_semigroup(spec)
+    S = ReesSemigroup(spec)
     out = {}
     for prime in height_one_primes(S):
         out[prime.label] = {
@@ -190,7 +187,7 @@ def cmd_reduce(args) -> dict:
 def cmd_certify(args) -> dict:
     ideal = parse_ideal(args.gens)
     point = _parse_point(args.point)
-    return np_contains(ideal, point).to_json_dict()
+    return NewtonPolyhedron(ideal).contains(point).to_json_dict()
 
 
 def sweep_row(lam: tuple[int, ...], bound: int | None) -> list[str]:
@@ -201,10 +198,8 @@ def sweep_row(lam: tuple[int, ...], bound: int | None) -> list[str]:
     if verdict.witness is not None:
         p, alpha = verdict.witness
         witness = f"p={p};alpha={format_vector(alpha)}"
-    mon = FractionalMonoid(spec)
-    aq = almost_quasinormal(mon)
     r1, _ = r1_satisfied(spec)
-    win = quasinormal_window(mon, bound)
+    win = quasinormal_window(spec, bound)
     if win.status == FAILURE:
         s, p = win.witness
         window = f"failure;s={s};p={p}"
@@ -216,7 +211,7 @@ def sweep_row(lam: tuple[int, ...], bound: int | None) -> list[str]:
         str(gcd(*lam)),
         _bool(verdict.normal),
         witness,
-        _bool(aq),
+        _bool(r1),  # almost_qn: equal by the cross-check inside r1_satisfied
         _bool(r1),
         window,
         str(win.bound),
@@ -262,7 +257,6 @@ def seed_fixtures(outdir: str) -> list[str]:
     written = []
 
     spec = LambdaSpec((2, 3, 7))
-    mon = FractionalMonoid(spec)
     witness = None
     for p in range(1, spec.n):
         if witness:
@@ -271,8 +265,8 @@ def seed_fixtures(outdir: str) -> list[str]:
             if spec.omega_dot(a) >= p * spec.L and not split_oracle(spec, a, p):
                 witness = {"p": p, "alpha": format_vector(a)}
                 break
-    bound = default_window_bound(mon)
-    win = window_split_oracle(mon, bound)
+    bound = default_window_bound(spec)
+    win = window_split_oracle(spec, bound)
     fixture = {
         "lambda": list(spec.lam),
         "L": spec.L,
@@ -280,9 +274,9 @@ def seed_fixtures(outdir: str) -> list[str]:
         "normal": witness is None,
         "witness": witness,
         "monoid_target": spec.L + 1,
-        "target_in_monoid": in_M(mon, spec.L + 1),
-        "almost_quasinormal": in_M(mon, spec.L + 1),
-        "r1": in_M(mon, spec.L + 1),  # the monoid route; sigma-scan must match
+        "target_in_monoid": in_M(spec, spec.L + 1),
+        "almost_quasinormal": in_M(spec, spec.L + 1),
+        "r1": in_M(spec, spec.L + 1),  # the monoid route; sigma-scan must match
         "window": {
             "bound": bound,
             "status": "quasinormal-on-window" if win is None else "failure",
@@ -315,9 +309,7 @@ def cmd_seed_fixtures(args) -> dict:
     return {"written": seed_fixtures(args.out_dir)}
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", action="store_true", default=True,
-                     help="emit JSON (the default and only structured format)")
+def _add_out(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="write output to this file")
 
 
@@ -332,13 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("closure", help="integral closure of an ideal")
     p.add_argument("--gens", required=True, help='generators, e.g. "2,0;0,2"')
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(handler=cmd_closure)
 
     p = commands.add_parser("power-closure", help="closure of the m-th power")
     p.add_argument("--gens", required=True)
     p.add_argument("--power", type=int, required=True)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(handler=cmd_power_closure)
 
     p = commands.add_parser("normal", help="decide normality")
@@ -347,49 +339,49 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--lambda", dest="lam", default=None, help='e.g. "2,3,7"')
     p.add_argument("--force-enumeration", action="store_true",
                    help="skip the fast paths on the lambda route")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(handler=cmd_normal)
 
     p = commands.add_parser("ilambda-gens",
                             help="minimal generators of the closure of the axis ideal")
     p.add_argument("--lambda", dest="lam", required=True)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(handler=cmd_ilambda_gens)
 
     monoid_cmd = commands.add_parser("monoid", help="scaled-monoid questions")
     monoid_sub = monoid_cmd.add_subparsers(dest="subcommand", required=True)
     p = monoid_sub.add_parser("almost-qn", help="is L+1 in the scaled monoid")
     p.add_argument("--lambda", dest="lam", required=True)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(handler=cmd_monoid_almost_qn)
     p = monoid_sub.add_parser("quasinormal", help="windowed quasinormality check")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--bound", type=int, default=None,
-                   help="window bound (default: max(4nL, 2(L + conductor*g)))")
-    _add_common(p)
+                   help="window bound (default: max(4nL, 2(L + conductor)))")
+    _add_out(p)
     p.set_defaults(handler=cmd_monoid_quasinormal)
 
     rees_cmd = commands.add_parser("rees", help="Rees-semigroup questions")
     rees_sub = rees_cmd.add_subparsers(dest="subcommand", required=True)
     p = rees_sub.add_parser("r1", help="codimension-one regularity on the sigma facet")
     p.add_argument("--lambda", dest="lam", required=True)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(handler=cmd_rees_r1)
     p = rees_sub.add_parser("primes", help="height-one monomial primes")
     p.add_argument("--lambda", dest="lam", required=True)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(handler=cmd_rees_primes)
 
     p = commands.add_parser("reduce", help="bump one entry by the lcm of the others")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--index", type=int, required=True, help="1-based entry to bump")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(handler=cmd_reduce)
 
     p = commands.add_parser("certify", help="membership certificate for one point")
     p.add_argument("--gens", required=True)
     p.add_argument("--point", required=True, help='rational point, e.g. "1,1" or "1/2,3"')
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(handler=cmd_certify)
 
     p = commands.add_parser("sweep", help="CSV over canonical lambda tuples")
@@ -397,13 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-lambda", type=int, required=True)
     p.add_argument("--bound", type=int, default=None, help="window bound override")
     p.add_argument("--workers", type=int, default=1)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(handler=cmd_sweep)
 
     p = commands.add_parser("seed-fixtures",
                             help="recompute the regression fixtures by oracle routes")
     p.add_argument("--out", dest="out_dir", required=True, help="fixture directory")
-    p.add_argument("--json", action="store_true", default=True, help=argparse.SUPPRESS)
     p.set_defaults(handler=cmd_seed_fixtures, out=None)
 
     return parser

@@ -18,17 +18,29 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from collections.abc import Iterable
 
-from .lattice import MonomialIdeal, Vec, as_vec, box_enumerate, require_same_dim
+from .lattice import (
+    MonomialIdeal,
+    Vec,
+    as_vec,
+    box_enumerate,
+    minimal_points,
+    require_same_dim,
+)
 
 EQUIVALENT = "equivalent"
 FORWARD_ONLY = "forward-only"
 
 
 class LambdaSpec:
-    """A vector of positive integers with its derived data: L = lcm,
-    omega_i = L / lambda_i, and g = gcd(omega)."""
+    """A vector of positive integers with its derived data: L = lcm and
+    omega_i = L / lambda_i, plus the closure ideal once
+    ilambda_generators has scanned for it.
 
-    __slots__ = ("lam", "L", "omega", "g")
+    gcd(omega) is always 1: a common factor of all L/lam_i would shrink
+    the lcm.  The monoid functions rely on that.
+    """
+
+    __slots__ = ("lam", "L", "omega", "_closure")
 
     def __init__(self, lam: Iterable[int]):
         lam = tuple(int(v) for v in lam)
@@ -39,9 +51,7 @@ class LambdaSpec:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "L", lcm(*lam))
         object.__setattr__(self, "omega", tuple(self.L // v for v in lam))
-        # provably 1 (a common factor of all L/lam_i would shrink the lcm),
-        # but carried as data since the downstream formulas consume it
-        object.__setattr__(self, "g", gcd(*self.omega))
+        object.__setattr__(self, "_closure", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LambdaSpec is immutable")
@@ -95,23 +105,16 @@ def ilambda_generators(spec: LambdaSpec) -> MonomialIdeal:
     """Minimal generators of the closure ideal: minimal lattice points of
     omega . a >= L.  They all satisfy a <= lam: a point with a_i > lam_i
     strictly dominates the axis point lam_i * e_i, which already lies in
-    the set, so the scan over the closed box below lam is exhaustive."""
-    omega, L = spec.omega, spec.L
-    mins: list[Vec] = []
-    for a in box_enumerate(spec.lam):
-        dominated = False
-        for q in reversed(mins):
-            for x, y in zip(q, a):
-                if x > y:
-                    break
-            else:
-                dominated = True
-                break
-        if dominated:
-            continue
-        if sum(w * x for w, x in zip(omega, a)) >= L:
-            mins.append(a)
-    return MonomialIdeal(spec.n, mins)
+    the set, so the scan over the closed box below lam is exhaustive.
+
+    The scan runs once per spec; later calls return the ideal it kept."""
+    if spec._closure is None:
+        omega, L = spec.omega, spec.L
+        mins = minimal_points(
+            spec.lam, lambda a: sum(w * x for w, x in zip(omega, a)) >= L
+        )
+        object.__setattr__(spec, "_closure", MonomialIdeal(spec.n, mins))
+    return spec._closure
 
 
 def _split(spec: LambdaSpec, a: Vec, p: int, gens, memo) -> tuple[Vec, ...] | None:

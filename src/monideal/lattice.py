@@ -45,16 +45,6 @@ def le_pr(a: Vec, b: Vec) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    require_same_dim(a, b)
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    require_same_dim(a, b)
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vec_scale(m: int, a: Vec) -> Vec:
     return tuple(m * x for x in a)
 
@@ -78,17 +68,22 @@ def minimalize(points: Iterable[Vec]) -> tuple[Vec, ...]:
     # ascending lex: q <=_pr p and q != p forces q <_lex p, so every
     # dominator of p (or a minimal point below it) is already in kept.
     for p in pts:
-        dominated = False
-        for q in reversed(kept):
-            for x, y in zip(q, p):
-                if x > y:
-                    break
-            else:
-                dominated = True
-                break
-        if not dominated:
+        if not any_below(reversed(kept), p):
             kept.append(p)
     return tuple(sorted(kept, reverse=True))
+
+
+def any_below(points: Iterable[Vec], a: Vec) -> bool:
+    """Whether some point of ``points`` is componentwise <= a, i.e. the
+    monomial ideal they generate contains x^a.  No dimension check: this
+    is the inner loop of every domination test."""
+    for q in points:
+        for x, y in zip(q, a):
+            if x > y:
+                break
+        else:
+            return True
+    return False
 
 
 def box_enumerate(
@@ -103,6 +98,22 @@ def box_enumerate(
     for point in itertools.product(*(range(b + 1) for b in bounds)):
         if predicate is None or predicate(point):
             yield point
+
+
+def minimal_points(bounds: Vec, member: Callable[[Vec], bool]) -> list[Vec]:
+    """Minimal points, ascending lex, of an up-closed set S restricted to
+    the box 0 <= a <= bounds.
+
+    ``member`` is asked only about box points that no minimal point found
+    so far lies below.  Every point below a lies earlier in ascending lex
+    order, so a point of S that passes that test is minimal; ``member``
+    may therefore keep state across calls (cached cuts, say).
+    """
+    mins: list[Vec] = []
+    for a in box_enumerate(bounds):
+        if not any_below(reversed(mins), a) and member(a):
+            mins.append(a)
+    return mins
 
 
 class MonomialIdeal:
@@ -134,13 +145,6 @@ class MonomialIdeal:
     def __setattr__(self, name, value):
         raise AttributeError("MonomialIdeal is immutable")
 
-    @classmethod
-    def from_generators(cls, generators: Iterable[Iterable[int]]) -> "MonomialIdeal":
-        gens = [as_vec(g) for g in generators]
-        if not gens:
-            raise ZeroIdeal("a monomial ideal needs at least one generator")
-        return cls(len(gens[0]), gens)
-
     def contains(self, a: Iterable[int]) -> bool:
         """Whether x^a lies in the ideal: some generator divides x^a."""
         a = as_vec(a)
@@ -148,13 +152,7 @@ class MonomialIdeal:
             raise DimensionMismatch(
                 f"point {a} has dimension {len(a)}, expected {self.dim}"
             )
-        for g in self.generators:
-            for x, y in zip(g, a):
-                if x > y:
-                    break
-            else:
-                return True
-        return False
+        return any_below(self.generators, a)
 
     def __eq__(self, other):
         if not isinstance(other, MonomialIdeal):
@@ -166,10 +164,6 @@ class MonomialIdeal:
 
     def __repr__(self):
         return f"MonomialIdeal({self.dim}, {list(self.generators)!r})"
-
-
-def contains_monomial(ideal: MonomialIdeal, a: Iterable[int]) -> bool:
-    return ideal.contains(a)
 
 
 def format_vector(v: Iterable[int]) -> str:

@@ -3,10 +3,11 @@
 Scaling by L = lcm(lam) turns it into the numerical-semigroup-like
 submonoid M of N generated by omega_i = L / lam_i, so every question here
 is a coin problem and is answered by dynamic programming over exact
-integers.  Quasinormality asks that each element s >= L split into
-floor(s/L) parts that each stay >= L; this module decides it on a finite
-window, which refutes quasinormality definitively but confirms it only on
-the window.  The one-element version (does L + 1 split, i.e. lie in M?)
+integers; each function takes the LambdaSpec whose omega generates M.
+Quasinormality asks that each element s >= L split into floor(s/L)
+parts that each stay >= L; this module decides it on a finite window,
+which refutes quasinormality definitively but confirms it only on the
+window.  The one-element version (does L + 1 split, i.e. lie in M?)
 is the almost-quasinormal test that feeds the Rees-algebra criterion.
 """
 
@@ -20,33 +21,6 @@ from .ilambda import LambdaSpec
 QUASINORMAL_ON_WINDOW = "quasinormal-on-window"
 FAILURE = "failure"
 VACUOUS = "vacuous"
-
-
-class FractionalMonoid:
-    """The scaled monoid M = <omega_1, .., omega_n> of a LambdaSpec."""
-
-    __slots__ = ("spec",)
-
-    def __init__(self, spec: LambdaSpec):
-        object.__setattr__(self, "spec", spec)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FractionalMonoid is immutable")
-
-    @property
-    def omega(self) -> tuple[int, ...]:
-        return self.spec.omega
-
-    @property
-    def L(self) -> int:
-        return self.spec.L
-
-    @property
-    def g(self) -> int:
-        return self.spec.g
-
-    def __repr__(self):
-        return f"FractionalMonoid({self.spec!r})"
 
 
 def membership_table(generators: Sequence[int], bound: int) -> list[bool]:
@@ -67,47 +41,45 @@ def membership_table(generators: Sequence[int], bound: int) -> list[bool]:
     return table
 
 
-def in_M(monoid: FractionalMonoid, s: int) -> bool:
+def in_M(spec: LambdaSpec, s: int) -> bool:
     """Membership of the integer s in the scaled monoid."""
     if s < 0:
         return False
-    return membership_table(monoid.omega, s)[s]
+    return membership_table(spec.omega, s)[s]
 
 
-def almost_quasinormal(monoid: FractionalMonoid) -> bool:
+def almost_quasinormal(spec: LambdaSpec) -> bool:
     """Whether L + 1 lies in the scaled monoid.  This is the one-element
     shadow of quasinormality and the combinatorial side of the
     codimension-one regularity criterion."""
-    return in_M(monoid, monoid.L + 1)
+    return in_M(spec, spec.L + 1)
 
 
-def conductor(monoid: FractionalMonoid) -> int:
-    """Smallest c such that every multiple of g at or above c lies in M.
+def conductor(spec: LambdaSpec) -> int:
+    """Smallest c such that every integer at or above c lies in M.
 
-    Divided by g, the generators are coprime, so the reduced monoid is
-    cofinite; the scan stops at the first run of min(omega/g) consecutive
-    members, after which every integer is reachable by adding generators.
+    The generators omega are coprime, so M is cofinite; the scan stops at
+    the first run of min(omega) consecutive members, after which every
+    integer is reachable by adding generators.
     """
-    g = monoid.g
-    omega_red = tuple(w // g for w in monoid.omega)
-    step = min(omega_red)
+    omega = spec.omega
+    step = min(omega)
     if step == 1:
         return 0
-    bound = step * max(omega_red) + step + 1
+    bound = step * max(omega) + step + 1
     while True:
-        table = membership_table(omega_red, bound)
+        table = membership_table(omega, bound)
         run = 0
         for s in range(bound + 1):
             run = run + 1 if table[s] else 0
             if run == step:
-                return g * (s - step + 1)
+                return s - step + 1
         bound *= 2  # coprimality guarantees the run exists
 
 
-def default_window_bound(monoid: FractionalMonoid) -> int:
-    """The default verification window: max(4nL, 2(L + conductor * g))."""
-    spec = monoid.spec
-    return max(4 * spec.n * spec.L, 2 * (spec.L + conductor(monoid) * monoid.g))
+def default_window_bound(spec: LambdaSpec) -> int:
+    """The default verification window: max(4nL, 2(L + conductor))."""
+    return max(4 * spec.n * spec.L, 2 * (spec.L + conductor(spec)))
 
 
 @dataclass(frozen=True)
@@ -117,7 +89,7 @@ class WindowVerdict:
     bound: int
 
 
-def quasinormal_window(monoid: FractionalMonoid, bound: int | None = None) -> WindowVerdict:
+def quasinormal_window(spec: LambdaSpec, bound: int | None = None) -> WindowVerdict:
     """Check the split condition for every monoid element s in [L, bound]:
     with p = floor(s/L), s must be a sum of p monoid elements each >= L.
 
@@ -128,12 +100,12 @@ def quasinormal_window(monoid: FractionalMonoid, bound: int | None = None) -> Wi
     s in the window at once.  A failure refutes quasinormality outright;
     a clean window only confirms it up to the bound.
     """
-    L = monoid.L
+    L = spec.L
     if bound is None:
-        bound = default_window_bound(monoid)
+        bound = default_window_bound(spec)
     if bound < L:
         return WindowVerdict(VACUOUS, None, bound)
-    member = membership_table(monoid.omega, max(bound, 2 * L - 1))
+    member = membership_table(spec.omega, max(bound, 2 * L - 1))
     coins = [e for e in range(1, L) if member[L + e]]
     INF = bound + 1  # parts needed never exceeds e < L <= bound
     best = [INF] * L

@@ -31,11 +31,9 @@ from .lattice import (
     ConsistencyError,
     MonomialIdeal,
     Vec,
-    as_vec,
-    box_enumerate,
     dot,
     format_vector,
-    minimalize,
+    minimal_points,
     parse_vector,
     require_same_dim,
 )
@@ -268,10 +266,6 @@ class NewtonPolyhedron:
         return cert
 
 
-def np_contains(ideal: MonomialIdeal, point: Iterable) -> MembershipCertificate:
-    return NewtonPolyhedron(ideal).contains(point)
-
-
 def _affine_dependence(points: Sequence[RatVec]) -> list[Fraction] | None:
     """A nonzero c with sum c_i p_i = 0 and sum c_i = 0, or None if the
     points are affinely independent.  Deterministic: reduced row echelon
@@ -321,6 +315,11 @@ def caratheodory_reduce(
     points: Sequence[Iterable], weights: Sequence
 ) -> tuple[tuple[RatVec, ...], tuple[Fraction, ...]]:
     """Reduce a convex combination to affinely independent support.
+
+    A standalone utility, checked by acceptance criterion 09; membership
+    certificates do not pass through it.  They need no reduction: the
+    phase-1 simplex ends on a basic solution, whose positive weights sit
+    on affinely independent generators, at most n + 1 of them.
 
     One dependence is eliminated per round: scale it so some coefficient
     is positive, drop the index maximizing c_i/b_i (smallest index on
@@ -394,36 +393,22 @@ def integral_closure(ideal: MonomialIdeal) -> MonomialIdeal:
     dim = ideal.dim
     bounds = tuple(max(g[j] for g in ideal.generators) for j in range(dim))
     poly = NewtonPolyhedron(ideal)
-    mins: list[Vec] = []
     cuts: list[tuple[tuple[int, ...], int]] = []  # w as (numerators, denominator)
-    for a in box_enumerate(bounds):
-        dominated = False
-        for q in reversed(mins):
-            for x, y in zip(q, a):
-                if x > y:
-                    break
-            else:
-                dominated = True
-                break
-        if dominated:  # inside, and not minimal
-            continue
-        if ideal.contains(a):  # in the ideal, hence inside; minimal since
-            mins.append(a)     # nothing below it was inside
-            continue
-        separated = False
+
+    def inside(a: Vec) -> bool:
+        if ideal.contains(a):  # in the ideal, hence inside
+            return True
         for num, den in cuts:  # w.a < 1 certified outside already
             if sum(nj * aj for nj, aj in zip(num, a)) < den:
-                separated = True
-                break
-        if separated:
-            continue
+                return False
         cert = poly.contains(a)
         if cert.verdict == INSIDE:
-            mins.append(a)  # nothing below it was inside, so it is minimal
-        else:
-            den = math.lcm(*(x.denominator for x in cert.w))
-            cuts.append((tuple(int(x * den) for x in cert.w), den))
-    return MonomialIdeal(dim, mins)
+            return True
+        den = math.lcm(*(x.denominator for x in cert.w))
+        cuts.append((tuple(int(x * den) for x in cert.w), den))
+        return False
+
+    return MonomialIdeal(dim, minimal_points(bounds, inside))
 
 
 def is_integrally_closed(ideal: MonomialIdeal) -> tuple[bool, Vec | None]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .ilambda import LambdaSpec, in_gamma
 from .lattice import MonomialIdeal, Vec, as_vec, box_enumerate, vec_scale
-from .monoid import FractionalMonoid, membership_table
+from .monoid import membership_table
 from .newton import power
 
 
@@ -63,7 +63,7 @@ def split_oracle(spec: LambdaSpec, a, p: int) -> bool:
     return rec(a, p)
 
 
-def max_parts_table(monoid: FractionalMonoid, bound: int) -> list[int]:
+def max_parts_table(monoid: LambdaSpec, bound: int) -> list[int]:
     """maxParts[s] = largest k such that s is a sum of k monoid elements
     that are each >= L, or 0 if there is no such split (and for s < L).
     This is the literal maximization table; the production window check
@@ -87,7 +87,7 @@ def max_parts_table(monoid: FractionalMonoid, bound: int) -> list[int]:
     return table
 
 
-def window_split_oracle(monoid: FractionalMonoid, bound: int) -> tuple[int, int] | None:
+def window_split_oracle(monoid: LambdaSpec, bound: int) -> tuple[int, int] | None:
     """First (s, p) in [L, bound] with s in the monoid but maxParts(s)
     below p = floor(s/L), or None if the window is clean."""
     L = monoid.L

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
 
 from .ilambda import LambdaSpec, ilambda_generators
-from .lattice import ConsistencyError, MonomialIdeal, Vec, as_vec, require_same_dim
-from .monoid import FractionalMonoid, almost_quasinormal
+from .lattice import ConsistencyError, Vec, require_same_dim
+from .monoid import almost_quasinormal
 
 
 class ReesSemigroup:
@@ -49,19 +48,8 @@ class ReesSemigroup:
         require_same_dim(point, self.sigma)
         return sum(c * x for c, x in zip(self.sigma, point))
 
-    @property
-    def primitive_sigma(self) -> tuple[tuple[int, ...], int]:
-        """(sigma / scale, scale) with scale = gcd of the coefficients.
-        The scale is provably always 1 here since gcd(omega) = 1."""
-        scale = gcd(*(abs(c) for c in self.sigma))
-        return tuple(c // scale for c in self.sigma), scale
-
     def __repr__(self):
         return f"ReesSemigroup({self.spec!r})"
-
-
-def build_semigroup(spec: LambdaSpec) -> ReesSemigroup:
-    return ReesSemigroup(spec)
 
 
 @dataclass(frozen=True)
@@ -116,13 +104,13 @@ def r1_satisfied(spec: LambdaSpec) -> tuple[bool, Vec | None]:
     are computed; disagreement raises ConsistencyError rather than
     returning either answer.
     """
-    S = build_semigroup(spec)
+    S = ReesSemigroup(spec)
     witness = None
     for gen in S.generators:
         if S.sigma_value(gen) == 1:
             witness = gen
             break
-    aq = almost_quasinormal(FractionalMonoid(spec))
+    aq = almost_quasinormal(spec)
     if (witness is not None) != aq:
         raise ConsistencyError(
             f"regularity routes disagree for {spec!r}: "

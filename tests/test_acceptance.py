@@ -14,15 +14,14 @@ from pathlib import Path
 
 from monideal import (
     FAILURE,
-    FractionalMonoid,
     LambdaSpec,
     MonomialIdeal,
     NewtonPolyhedron,
     QUASINORMAL_ON_WINDOW,
+    ReesSemigroup,
     affinely_independent,
     almost_quasinormal,
     box_enumerate,
-    build_semigroup,
     caratheodory_reduce,
     grp_facet_check,
     ilambda_generators,
@@ -153,10 +152,9 @@ def test_criterion_06_implication_chain_and_r1_on_sweep():
     for lam in itertools.combinations_with_replacement(range(1, 9), 3):
         rows += 1
         spec = LambdaSpec(lam)
-        monoid = FractionalMonoid(spec)
         normal = is_normal_lambda(spec).normal
-        window = quasinormal_window(monoid)  # default bound
-        aq = almost_quasinormal(monoid)
+        window = quasinormal_window(spec)  # default bound
+        aq = almost_quasinormal(spec)
         r1, _ = r1_satisfied(spec)  # sigma scan, cross-checked internally
         if normal:
             assert window.status == QUASINORMAL_ON_WINDOW, lam
@@ -179,15 +177,14 @@ def test_criterion_07_frozen_fixture_for_2_3_7():
     table = membership_table(spec.omega, fixture["monoid_target"])
     assert table[fixture["monoid_target"]] == fixture["target_in_monoid"] == False  # noqa: E712
 
-    monoid = FractionalMonoid(spec)
-    assert almost_quasinormal(monoid) == fixture["almost_quasinormal"] == False  # noqa: E712
+    assert almost_quasinormal(spec) == fixture["almost_quasinormal"] == False  # noqa: E712
 
     verdict = is_normal_lambda(spec)
     assert verdict.normal == fixture["normal"] == False  # noqa: E712
     p, alpha = verdict.witness
     assert {"p": p, "alpha": ",".join(map(str, alpha))} == fixture["witness"]
 
-    window = quasinormal_window(monoid)
+    window = quasinormal_window(spec)
     assert window.bound == fixture["window"]["bound"]
     assert window.status == fixture["window"]["status"] == "failure"
     s, q = window.witness
@@ -244,7 +241,7 @@ def test_criterion_09_caratheodory_reductions():
 
 def test_criterion_10_facet_group_identity_at_radius_4():
     for lam in itertools.product(range(1, 7), repeat=3):
-        S = build_semigroup(LambdaSpec(lam))
+        S = ReesSemigroup(LambdaSpec(lam))
         assert grp_facet_check(S, 4), lam
     report(10, "grp identity holds at radius 4 for all 216 triples")
 

@@ -1,10 +1,15 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from monideal.cli import CSV_HEADER, main, sweep_csv
+from monideal import cli, ilambda, monoid, rees
+from monideal.cli import CSV_HEADER, build_parser, main, sweep_csv, sweep_row
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -165,6 +170,42 @@ def test_sweep_rows_for_known_lambda():
     assert "failure;s=85;p=2" in row
     assert ",false," in row
     assert '"2,3,13",equivalent' in row
+
+
+def test_sweep_row_scans_and_checks_almost_qn_once(monkeypatch):
+    """One row builds the closure generators once, shared by the normality
+    test and the Rees semigroup, and reads almost_qn off r1_satisfied."""
+    calls = {"scan": 0, "almost_qn": 0}
+    scan, almost_qn = ilambda.minimal_points, monoid.almost_quasinormal
+
+    def counted_scan(*args):
+        calls["scan"] += 1
+        return scan(*args)
+
+    def counted_almost_qn(*args):
+        calls["almost_qn"] += 1
+        return almost_qn(*args)
+
+    monkeypatch.setattr(ilambda, "minimal_points", counted_scan)
+    for module in (monoid, rees, cli):  # every module that binds the name
+        monkeypatch.setattr(module, "almost_quasinormal", counted_almost_qn)
+    row = sweep_row((2, 3, 7), None)
+    assert row[2:6] == ["false", "p=2;alpha=1,2,6", "false", "false"]
+    assert calls == {"scan": 1, "almost_qn": 1}
+
+
+def test_readme_commands_parse():
+    """Every command line the README documents is accepted by the parser."""
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("monideal ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_sweep_deterministic_across_worker_counts(tmp_path):

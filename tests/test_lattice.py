@@ -8,7 +8,6 @@ from monideal import (
     MonomialIdeal,
     ZeroIdeal,
     box_enumerate,
-    contains_monomial,
     format_ideal,
     format_vector,
     le_pr,
@@ -76,7 +75,7 @@ def test_ideal_contains_examples():
     assert not ideal.contains((1, 1))
     unit = MonomialIdeal(2, [(0, 0)])
     assert unit.contains((0, 0)) and unit.contains((5, 3))
-    assert contains_monomial(ideal, (3, 0))
+    assert ideal.contains((3, 0))
 
 
 @given(vec3, vec3)

@@ -7,7 +7,6 @@ import pytest
 
 from monideal import (
     FAILURE,
-    FractionalMonoid,
     LambdaSpec,
     QUASINORMAL_ON_WINDOW,
     VACUOUS,
@@ -25,7 +24,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def mon(*lam):
-    return FractionalMonoid(LambdaSpec(lam))
+    return LambdaSpec(lam)
 
 
 def test_membership_examples():
@@ -76,12 +75,11 @@ def test_conductor_is_tight():
     for lam in ((2, 3), (2, 3, 7), (5, 3, 2), (4, 6), (5, 7)):
         m = mon(*lam)
         c = conductor(m)
-        table = membership_table(m.omega, c + 50 * m.g)
-        for s in range(c, c + 50 * m.g + 1):
-            if s % m.g == 0:
-                assert table[s], (lam, s)
+        table = membership_table(m.omega, c + 50)
+        for s in range(c, c + 50 + 1):
+            assert table[s], (lam, s)
         if c > 0:
-            assert not table[c - m.g], lam
+            assert not table[c - 1], lam
 
 
 def test_default_window_bound_formula():
@@ -147,5 +145,4 @@ def test_normal_lambda_implies_clean_default_window():
     for lam in itertools.product(range(1, 6), repeat=3):
         spec = LambdaSpec(lam)
         if is_normal_lambda(spec).normal:
-            m = FractionalMonoid(spec)
-            assert quasinormal_window(m).status == QUASINORMAL_ON_WINDOW, lam
+            assert quasinormal_window(spec).status == QUASINORMAL_ON_WINDOW, lam

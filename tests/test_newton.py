@@ -21,7 +21,6 @@ from monideal import (
     is_integrally_closed,
     is_normal,
     le_pr,
-    np_contains,
     parse_ideal,
     power,
 )
@@ -34,7 +33,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def test_inside_certificate_matches_worked_example():
     ideal = parse_ideal("2,0;0,2")
-    cert = np_contains(ideal, (1, 1))
+    cert = NewtonPolyhedron(ideal).contains((1, 1))
     assert cert.verdict == INSIDE
     assert dict(cert.terms) == {(2, 0): Fraction(1, 2), (0, 2): Fraction(1, 2)}
     assert cert.slack == (0, 0)
@@ -44,7 +43,7 @@ def test_inside_certificate_matches_worked_example():
 
 def test_outside_certificate_separates():
     ideal = parse_ideal("2,0;0,2")
-    cert = np_contains(ideal, (1, 0))
+    cert = NewtonPolyhedron(ideal).contains((1, 0))
     assert cert.verdict == OUTSIDE
     assert all(x >= 0 for x in cert.w)
     values = [sum(w * g for w, g in zip(cert.w, gen)) for gen in ideal.generators]
@@ -55,36 +54,36 @@ def test_outside_certificate_separates():
 
 def test_outside_certificate_single_generator():
     ideal = parse_ideal("1,0")
-    cert = np_contains(ideal, (0, 3))
+    cert = NewtonPolyhedron(ideal).contains((0, 3))
     assert cert.verdict == OUTSIDE
     assert cert.verify(NewtonPolyhedron(ideal))
 
 
 def test_membership_of_rational_points():
     ideal = parse_ideal("2,0;0,2")
-    on_facet = np_contains(ideal, (Fraction(1, 2), Fraction(3, 2)))
+    on_facet = NewtonPolyhedron(ideal).contains((Fraction(1, 2), Fraction(3, 2)))
     assert on_facet.verdict == INSIDE
-    outside = np_contains(ideal, (Fraction(1, 2), Fraction(1, 2)))
+    outside = NewtonPolyhedron(ideal).contains((Fraction(1, 2), Fraction(1, 2)))
     assert outside.verdict == OUTSIDE
 
 
 def test_membership_rejects_bad_points():
     ideal = parse_ideal("2,0;0,2")
     with pytest.raises(ValueError):
-        np_contains(ideal, (-1, 0))
+        NewtonPolyhedron(ideal).contains((-1, 0))
     with pytest.raises(ValueError):
-        np_contains(ideal, (1, 1, 1))
+        NewtonPolyhedron(ideal).contains((1, 1, 1))
 
 
 def test_certificate_json_round_trip():
     ideal = parse_ideal("2,0;0,2")
     for point in ((1, 1), (1, 0)):
-        cert = np_contains(ideal, point)
+        cert = NewtonPolyhedron(ideal).contains(point)
         data = cert.to_json_dict()
         back = MembershipCertificate.from_json_dict(data, point=point)
         assert back.to_json_dict() == data
         assert back.verify(NewtonPolyhedron(ideal))
-    inside = np_contains(ideal, (1, 1)).to_json_dict()
+    inside = NewtonPolyhedron(ideal).contains((1, 1)).to_json_dict()
     assert inside == {
         "verdict": "inside",
         "weights": [["2,0", "1/2"], ["0,2", "1/2"]],
@@ -96,7 +95,7 @@ def test_certificate_json_round_trip():
 def test_certificate_verification_rejects_tampering():
     ideal = parse_ideal("2,0;0,2")
     poly = NewtonPolyhedron(ideal)
-    good = np_contains(ideal, (1, 1))
+    good = NewtonPolyhedron(ideal).contains((1, 1))
     bad_weight = MembershipCertificate(
         INSIDE,
         good.point,
@@ -109,7 +108,7 @@ def test_certificate_verification_rejects_tampering():
         INSIDE, good.point, terms=good.terms, slack=good.slack, denominator=4
     )
     assert not bad_denominator.verify(poly)
-    out = np_contains(ideal, (1, 0))
+    out = NewtonPolyhedron(ideal).contains((1, 0))
     too_small = MembershipCertificate(
         OUTSIDE, out.point, w=tuple(x / 2 for x in out.w)
     )
@@ -121,7 +120,7 @@ def test_inside_denominator_certifies_power_membership():
     fraction, so d*a must lie in the exponent set of the d-th power."""
     for ideal in random_ideal_corpus(20, seed=411):
         for a in box_enumerate(tuple(3 for _ in range(ideal.dim))):
-            cert = np_contains(ideal, a)
+            cert = NewtonPolyhedron(ideal).contains(a)
             if cert.verdict == INSIDE:
                 d = cert.denominator
                 assert power(ideal, d).contains(tuple(d * x for x in a))
@@ -139,8 +138,8 @@ def test_membership_scales_to_powers():
                     Fraction(rng.randint(0, 12), rng.randint(1, 4))
                     for _ in range(ideal.dim)
                 )
-                lhs = np_contains(ideal, a).verdict
-                rhs = np_contains(pw, tuple(m * x for x in a)).verdict
+                lhs = NewtonPolyhedron(ideal).contains(a).verdict
+                rhs = NewtonPolyhedron(pw).contains(tuple(m * x for x in a)).verdict
                 assert lhs == rhs, (ideal, m, a)
 
 
@@ -215,6 +214,31 @@ def test_caratheodory_random_combinations(data):
     assert set(out_pts) <= set(pts)
     for j in range(dim):
         assert sum(w * p[j] for p, w in zip(out_pts, out_wts)) == target[j]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_inside_certificate_support_is_affinely_independent(data):
+    """Phase 1 ends on a basic solution, so the generators carrying
+    positive weight are affinely independent, at most n + 1 of them,
+    without any Caratheodory reduction."""
+    dim = data.draw(st.integers(2, 5))
+    vec = st.lists(st.integers(0, 6), min_size=dim, max_size=dim).map(tuple)
+    ideal = MonomialIdeal(dim, data.draw(st.lists(vec, min_size=1, max_size=8)))
+    raw = [data.draw(st.integers(0, 4)) for _ in ideal.generators]
+    if not any(raw):
+        raw[0] = 1
+    slack = [Fraction(data.draw(st.integers(0, 3)), 2) for _ in range(dim)]
+    point = tuple(
+        sum(Fraction(r, sum(raw)) * g[j] for r, g in zip(raw, ideal.generators))
+        + slack[j]
+        for j in range(dim)
+    )
+    cert = NewtonPolyhedron(ideal).contains(point)
+    assert cert.verdict == INSIDE
+    support = [g for g, _ in cert.terms]
+    assert len(support) <= dim + 1
+    assert affinely_independent(support)
 
 
 def test_power_examples():

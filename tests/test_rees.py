@@ -1,13 +1,13 @@
 import itertools
+from math import gcd
 
 import pytest
 
 from monideal import (
     ConsistencyError,
-    FractionalMonoid,
     LambdaSpec,
+    ReesSemigroup,
     almost_quasinormal,
-    build_semigroup,
     express_on_facet,
     grp_facet_check,
     height_one_primes,
@@ -16,31 +16,31 @@ from monideal import (
 
 
 def test_semigroup_generators_and_facet_form():
-    S = build_semigroup(LambdaSpec((2, 2)))
+    S = ReesSemigroup(LambdaSpec((2, 2)))
     assert S.generators == ((1, 0, 0), (0, 1, 0), (2, 0, 1), (1, 1, 1), (0, 2, 1))
     assert S.sigma == (1, 1, -2)
-    assert S.primitive_sigma == ((1, 1, -2), 1)
-    S = build_semigroup(LambdaSpec((2, 3)))
+    assert gcd(*S.sigma) == 1
+    S = ReesSemigroup(LambdaSpec((2, 3)))
     assert S.sigma == (3, 2, -6)
     assert [S.sigma_value(g) for g in S.generators] == [3, 2, 0, 1, 0]
 
 
 def test_sigma_nonnegative_on_generators():
     for lam in itertools.product(range(1, 6), repeat=2):
-        S = build_semigroup(LambdaSpec(lam))
+        S = ReesSemigroup(LambdaSpec(lam))
         assert all(S.sigma_value(g) >= 0 for g in S.generators), lam
 
 
 def test_sigma_zero_generator_from_unit_entry():
     # lam = (1, 3): the generator (1,0) of the closure ideal gives the
     # sigma-zero semigroup generator (1, 0, 1)
-    S = build_semigroup(LambdaSpec((1, 3)))
+    S = ReesSemigroup(LambdaSpec((1, 3)))
     assert (1, 0, 1) in S.generators
     assert S.sigma_value((1, 0, 1)) == 0
 
 
 def test_height_one_primes_two_variables():
-    S = build_semigroup(LambdaSpec((2, 2)))
+    S = ReesSemigroup(LambdaSpec((2, 2)))
     primes = {p.label: p for p in height_one_primes(S)}
     assert set(primes) == {"P_1", "P_2", "P_3", "P_sigma"}
     assert primes["P_1"].ring_vars == (1,)
@@ -53,7 +53,7 @@ def test_height_one_primes_two_variables():
 
 
 def test_height_one_primes_sigma_facet_collects_positive_values():
-    S = build_semigroup(LambdaSpec((2, 3)))
+    S = ReesSemigroup(LambdaSpec((2, 3)))
     primes = {p.label: p for p in height_one_primes(S)}
     assert primes["P_sigma"].t_generators == ((1, 2),)  # sigma value 1
     spec = S.spec
@@ -66,7 +66,7 @@ def test_height_one_primes_sigma_facet_collects_positive_values():
 def test_height_one_primes_one_variable_degenerates():
     # the formulas applied verbatim: beta = (k) has beta_1 >= 1, so P_1
     # contains the t-generator as well as x_1
-    S = build_semigroup(LambdaSpec((3,)))
+    S = ReesSemigroup(LambdaSpec((3,)))
     primes = {p.label: p for p in height_one_primes(S)}
     assert primes["P_1"].ring_vars == (1,)
     assert primes["P_1"].t_generators == ((3,),)
@@ -89,7 +89,7 @@ def test_r1_witness_has_sigma_value_one():
         spec = LambdaSpec(lam)
         ok, witness = r1_satisfied(spec)
         if ok:
-            assert build_semigroup(spec).sigma_value(witness) == 1, lam
+            assert ReesSemigroup(spec).sigma_value(witness) == 1, lam
 
 
 def test_r1_equals_almost_quasinormality_everywhere():
@@ -98,11 +98,11 @@ def test_r1_equals_almost_quasinormality_everywhere():
     for lam in itertools.product(range(1, 7), repeat=3):
         spec = LambdaSpec(lam)
         ok, _ = r1_satisfied(spec)
-        assert ok == almost_quasinormal(FractionalMonoid(spec)), lam
+        assert ok == almost_quasinormal(spec), lam
 
 
 def test_express_on_facet_round_trips():
-    S = build_semigroup(LambdaSpec((2, 3)))
+    S = ReesSemigroup(LambdaSpec((2, 3)))
     for point in ((0, 0, 0), (2, 0, 1), (-2, 3, 0), (4, -3, 1)):
         if S.sigma_value(point) != 0:
             continue
@@ -117,15 +117,15 @@ def test_express_on_facet_round_trips():
 
 
 def test_express_on_facet_rejects_off_facet_points():
-    S = build_semigroup(LambdaSpec((2, 3)))
+    S = ReesSemigroup(LambdaSpec((2, 3)))
     with pytest.raises(ValueError):
         express_on_facet(S, (1, 0, 0))
 
 
 def test_facet_group_identity_small_examples():
-    assert grp_facet_check(build_semigroup(LambdaSpec((2, 2))), 3)
-    assert grp_facet_check(build_semigroup(LambdaSpec((2, 3))), 3)
-    assert grp_facet_check(build_semigroup(LambdaSpec((2, 3, 7))), 2)
-    assert grp_facet_check(build_semigroup(LambdaSpec((1,))), 4)
+    assert grp_facet_check(ReesSemigroup(LambdaSpec((2, 2))), 3)
+    assert grp_facet_check(ReesSemigroup(LambdaSpec((2, 3))), 3)
+    assert grp_facet_check(ReesSemigroup(LambdaSpec((2, 3, 7))), 2)
+    assert grp_facet_check(ReesSemigroup(LambdaSpec((1,))), 4)
     with pytest.raises(ValueError):
-        grp_facet_check(build_semigroup(LambdaSpec((2, 2))), -1)
+        grp_facet_check(ReesSemigroup(LambdaSpec((2, 2))), -1)
