@@ -38,7 +38,7 @@ from .monoid import (
     FAILURE,
     almost_quasinormal,
     default_window_bound,
-    in_M,
+    membership_table,
     quasinormal_window,
 )
 from .newton import NewtonPolyhedron, integral_closure, is_normal, power
@@ -229,7 +229,10 @@ def canonical_lambdas(n: int, max_lambda: int):
 
 
 def sweep_csv(n: int, max_lambda: int, bound: int | None, workers: int) -> str:
+    """The sweep CSV.  At most os.cpu_count() worker processes run: rows
+    are pure computation, so more would only share the same cores."""
     rows = canonical_lambdas(n, max_lambda)
+    workers = min(workers, os.cpu_count() or 1)
     job = partial(sweep_row, bound=bound)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -252,7 +255,8 @@ def cmd_sweep(args) -> str:
 def seed_fixtures(outdir: str) -> list[str]:
     """Write the regression fixtures, computing every frozen value by an
     oracle route (exhaustive split search, power criterion, literal
-    parts-maximization table) rather than the production algorithms."""
+    parts-maximization table, brute-force membership table) rather than
+    the production algorithms."""
     os.makedirs(outdir, exist_ok=True)
     written = []
 
@@ -267,6 +271,7 @@ def seed_fixtures(outdir: str) -> list[str]:
                 break
     bound = default_window_bound(spec)
     win = window_split_oracle(spec, bound)
+    target_in_monoid = membership_table(spec.omega, spec.L + 1)[spec.L + 1]
     fixture = {
         "lambda": list(spec.lam),
         "L": spec.L,
@@ -274,9 +279,9 @@ def seed_fixtures(outdir: str) -> list[str]:
         "normal": witness is None,
         "witness": witness,
         "monoid_target": spec.L + 1,
-        "target_in_monoid": in_M(spec, spec.L + 1),
-        "almost_quasinormal": in_M(spec, spec.L + 1),
-        "r1": in_M(spec, spec.L + 1),  # the monoid route; sigma-scan must match
+        "target_in_monoid": target_in_monoid,
+        "almost_quasinormal": target_in_monoid,
+        "r1": target_in_monoid,  # the monoid route; sigma-scan must match
         "window": {
             "bound": bound,
             "status": "quasinormal-on-window" if win is None else "failure",

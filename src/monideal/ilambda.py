@@ -34,13 +34,14 @@ FORWARD_ONLY = "forward-only"
 class LambdaSpec:
     """A vector of positive integers with its derived data: L = lcm and
     omega_i = L / lambda_i, plus the closure ideal once
-    ilambda_generators has scanned for it.
+    ilambda_generators has scanned for it and the Apery set of the
+    monoid generated by omega once monoid.apery_set has computed it.
 
     gcd(omega) is always 1: a common factor of all L/lam_i would shrink
     the lcm.  The monoid functions rely on that.
     """
 
-    __slots__ = ("lam", "L", "omega", "_closure")
+    __slots__ = ("lam", "L", "omega", "_closure", "_apery")
 
     def __init__(self, lam: Iterable[int]):
         lam = tuple(int(v) for v in lam)
@@ -52,9 +53,15 @@ class LambdaSpec:
         object.__setattr__(self, "L", lcm(*lam))
         object.__setattr__(self, "omega", tuple(self.L // v for v in lam))
         object.__setattr__(self, "_closure", None)
+        object.__setattr__(self, "_apery", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LambdaSpec is immutable")
+
+    def __reduce__(self):
+        # rebuild from lam: pickle and copy would otherwise restore the
+        # slots through __setattr__; the caches are recomputed on demand
+        return (LambdaSpec, (self.lam,))
 
     @classmethod
     def parse(cls, text: str) -> "LambdaSpec":

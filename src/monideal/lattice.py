@@ -145,6 +145,10 @@ class MonomialIdeal:
     def __setattr__(self, name, value):
         raise AttributeError("MonomialIdeal is immutable")
 
+    def __reduce__(self):
+        # pickle and copy would otherwise restore the slots via __setattr__
+        return (MonomialIdeal, (self.dim, self.generators))
+
     def contains(self, a: Iterable[int]) -> bool:
         """Whether x^a lies in the ideal: some generator divides x^a."""
         a = as_vec(a)

@@ -243,6 +243,18 @@ class NewtonPolyhedron:
     def __setattr__(self, name, value):
         raise AttributeError("NewtonPolyhedron is immutable")
 
+    def __reduce__(self):
+        # pickle and copy would otherwise restore the slots via __setattr__
+        return (NewtonPolyhedron, (self.ideal,))
+
+    def __eq__(self, other):
+        if not isinstance(other, NewtonPolyhedron):
+            return NotImplemented
+        return self.ideal == other.ideal
+
+    def __hash__(self):
+        return hash(self.ideal)
+
     def contains(self, point: Iterable) -> MembershipCertificate:
         """Decide membership of a nonnegative rational point; the returned
         certificate has been re-verified before it is handed out."""

@@ -4,7 +4,8 @@ Everything here decides membership questions by a different method than
 the module it checks: closure via the power criterion instead of the
 polyhedral solver, splits via exhaustive search over the whole exponent
 set instead of minimal-generator recursion, and window quasinormality via
-the literal parts-maximization table instead of the excess coin table.
+the literal parts-maximization table over a brute-force membership
+table instead of the Apery set and the excess gap levels.
 The fixture seeder records these outputs so the test suite can pin them.
 """
 

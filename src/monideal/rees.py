@@ -43,6 +43,19 @@ class ReesSemigroup:
     def __setattr__(self, name, value):
         raise AttributeError("ReesSemigroup is immutable")
 
+    def __reduce__(self):
+        # pickle and copy would otherwise restore the slots via __setattr__;
+        # everything else is derived from the spec
+        return (ReesSemigroup, (self.spec,))
+
+    def __eq__(self, other):
+        if not isinstance(other, ReesSemigroup):
+            return NotImplemented
+        return self.spec == other.spec
+
+    def __hash__(self):
+        return hash(self.spec)
+
     def sigma_value(self, point) -> int:
         point = tuple(int(x) for x in point)
         require_same_dim(point, self.sigma)

@@ -214,16 +214,42 @@ def test_sweep_deterministic_across_worker_counts(tmp_path):
     assert one == three
 
 
+def test_sweep_workers_capped_at_cpu_count(monkeypatch, capsys):
+    """--workers beyond os.cpu_count() asks for no more processes; an
+    in-process stand-in for the pool records what it was asked for."""
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, rows):
+            return map(fn, rows)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    argv = ["sweep", "--n", "3", "--max-lambda", "4", "--workers", "64"]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == sweep_csv(3, 4, None, 1)
+    assert pools == [3]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: one
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == sweep_csv(3, 4, None, 1)
+    assert pools == [3]
+
+
 def test_seed_fixtures_round_trip(capsys, tmp_path):
     data = run_json(capsys, "seed-fixtures", "--out", str(tmp_path))
     assert len(data["written"]) == 2
-    regenerated = json.loads((tmp_path / "lambda_2_3_7.json").read_text())
-    from pathlib import Path
-
-    committed = json.loads(
-        (Path(__file__).parent / "fixtures" / "lambda_2_3_7.json").read_text()
-    )
-    assert regenerated == committed
+    committed = Path(__file__).parent / "fixtures"
+    for name in ("lambda_2_3_7.json", "closure_examples.json"):
+        assert (tmp_path / name).read_bytes() == (committed / name).read_bytes()
 
 
 def test_console_entry_point_runs():

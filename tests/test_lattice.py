@@ -1,11 +1,16 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from monideal import (
     DimensionMismatch,
+    LambdaSpec,
     MonomialIdeal,
+    NewtonPolyhedron,
+    ReesSemigroup,
     ZeroIdeal,
     box_enumerate,
     format_ideal,
@@ -159,3 +164,25 @@ def test_ideal_parse_and_format_round_trip():
 @given(small_vec)
 def test_vector_round_trip(v):
     assert parse_vector(format_vector(v)) == v
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: MonomialIdeal(2, [(1, 0), (0, 3)]),
+        lambda: NewtonPolyhedron(MonomialIdeal(2, [(2, 0), (0, 2)])),
+        lambda: LambdaSpec((2, 3, 7)),
+        lambda: ReesSemigroup(LambdaSpec((2, 3))),
+    ],
+)
+def test_immutable_objects_pickle_and_copy(make):
+    """The slotted immutable classes rebuild from their constructor
+    arguments, so pickling (worker processes) and copying work."""
+    obj = make()
+    for clone in (
+        pickle.loads(pickle.dumps(obj)),
+        copy.copy(obj),
+        copy.deepcopy(obj),
+    ):
+        assert type(clone) is type(obj)
+        assert clone == obj and hash(clone) == hash(obj)

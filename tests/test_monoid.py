@@ -4,6 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monideal import (
     FAILURE,
@@ -16,6 +17,7 @@ from monideal import (
     in_M,
     is_normal_lambda,
     membership_table,
+    WindowVerdict,
     quasinormal_window,
 )
 from monideal.oracles import max_parts_table, window_split_oracle
@@ -82,6 +84,48 @@ def test_conductor_is_tight():
             assert not table[c - 1], lam
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4), st.data())
+def test_apery_routes_match_brute_force_routes(lam, data):
+    """in_M, conductor and the gap-level window against the bound-sized
+    coin table and the literal parts-maximization oracle."""
+    spec = LambdaSpec(lam)
+    table = membership_table(spec.omega, 3 * spec.L)
+    assert [in_M(spec, s) for s in range(3 * spec.L + 1)] == table
+    c = conductor(spec)
+    table = membership_table(spec.omega, c + min(spec.omega))
+    assert all(table[c:])
+    assert c == 0 or not table[c - 1]
+    bound = data.draw(st.integers(0, min(default_window_bound(spec), 700)))
+    got = quasinormal_window(spec, bound)
+    expect = window_split_oracle(spec, bound)
+    if bound < spec.L:
+        assert got.status == VACUOUS and expect is None
+    elif expect is None:
+        assert got.status == QUASINORMAL_ON_WINDOW
+    else:
+        assert got.status == FAILURE and got.witness == expect
+
+
+def test_conductor_beyond_the_reach_of_a_table_scan():
+    """The doubling table scan needed 52M cells here; the Apery set has
+    min(omega) = 5434 entries."""
+    spec = mon(13, 23, 22, 19)
+    c = conductor(spec)
+    assert c == 347640
+    table = membership_table(spec.omega, c + min(spec.omega))
+    assert all(table[c:]) and not table[c - 1]
+
+
+def test_window_cost_does_not_grow_with_the_bound():
+    """A bound-sized table for these bounds would never fit in memory."""
+    huge = 10**12
+    assert quasinormal_window(mon(2, 3, 7), huge) == WindowVerdict(FAILURE, (85, 2), huge)
+    assert quasinormal_window(mon(17, 19, 23), huge) == WindowVerdict(
+        QUASINORMAL_ON_WINDOW, None, huge
+    )
+
+
 def test_default_window_bound_formula():
     assert default_window_bound(mon(2, 3, 7)) == max(4 * 3 * 42, 2 * (42 + 44))
     assert default_window_bound(mon(1, 1)) == 8
@@ -111,7 +155,7 @@ def test_window_failure_witness_is_in_monoid_and_unsplittable():
 
 
 def test_window_agrees_with_parts_maximization_oracle():
-    """The excess coin table must give the same verdict and witness as the
+    """The gap levels must give the same verdict and witness as the
     literal maximization table, which is computed very differently."""
     for lam in ((2, 3, 7), (2, 3, 5), (3, 4, 5), (2, 2, 3), (5, 3, 2), (2, 5, 7)):
         m = mon(*lam)
