@@ -41,7 +41,13 @@ from .monoid import (
     membership_table,
     quasinormal_window,
 )
-from .newton import NewtonPolyhedron, integral_closure, is_normal, power
+from .newton import (
+    NewtonPolyhedron,
+    first_missing_generator,
+    integral_closure,
+    is_normal,
+    power,
+)
 from .oracles import closure_oracle, split_oracle, window_split_oracle
 from .rees import ReesSemigroup, height_one_primes, r1_satisfied
 
@@ -81,15 +87,18 @@ def cmd_closure(args) -> dict:
 def cmd_power_closure(args) -> dict:
     ideal = parse_ideal(args.gens)
     pw = power(ideal, args.power)
-    closed = integral_closure(pw)
-    missing = sorted(g for g in closed.generators if not pw.contains(g))
+    if args.power >= 1:
+        closed = integral_closure(pw, power_of=(NewtonPolyhedron(ideal), args.power))
+    else:
+        closed = integral_closure(pw)  # the unit ideal, which is closed
+    witness = first_missing_generator(pw, closed)
     return {
         "gens": format_ideal(ideal),
         "power": args.power,
         "power_generators": format_ideal(pw),
         "closure": format_ideal(closed),
-        "closed": not missing,
-        "witness": format_vector(missing[0]) if missing else None,
+        "closed": witness is None,
+        "witness": None if witness is None else format_vector(witness),
     }
 
 

@@ -17,6 +17,14 @@ minimal generators all lie in the box below the componentwise maximum of
 the input generators, so one bounded scan with certificate reuse finds
 them.  An ideal is normal when all its powers are integrally closed, and
 checking powers 1..n-1 suffices in n variables.
+
+The powers need no polyhedron of their own: NP(I^m) = m.NP(I), so the
+closure of I^m is the set of lattice points a with a/m in NP(I).  One
+NewtonPolyhedron(I) serves every power.  Its LPs run over the r
+generators of I at the point a/m, not over the generators of I^m, and
+the outside functionals it learns are kept on it: w, stored as
+(numerators, denominator), has w.g >= 1 on NP(I), so num.a < m*den puts
+a outside the closure of I^m for every m at once.
 """
 
 from __future__ import annotations
@@ -233,12 +241,18 @@ def _phase1(gens: Sequence[Vec], point: RatVec):
 
 
 class NewtonPolyhedron:
-    """Membership oracle for conv(generators) + R^n_{>=0} of one ideal."""
+    """Membership oracle for conv(generators) + R^n_{>=0} of one ideal.
 
-    __slots__ = ("ideal",)
+    ``_cuts`` caches the outside functionals found by ``contains_scaled``
+    as (numerators, denominator) pairs; it only ever grows, and pickling
+    or copying starts it afresh.
+    """
+
+    __slots__ = ("ideal", "_cuts")
 
     def __init__(self, ideal: MonomialIdeal):
         object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "_cuts", [])
 
     def __setattr__(self, name, value):
         raise AttributeError("NewtonPolyhedron is immutable")
@@ -276,6 +290,22 @@ class NewtonPolyhedron:
         if not cert.verify(self):
             raise ConsistencyError(f"certificate failed re-verification: {cert}")
         return cert
+
+    def contains_scaled(self, a: Vec, m: int) -> bool:
+        """Whether a/m lies in the polyhedron, i.e. whether the lattice
+        point a lies in m.NP(I) = NP(I^m).  The cached cuts are tried
+        first; only when none separates does an LP run, through
+        ``contains`` with its re-verified certificate, and an outside
+        verdict adds its functional to the cache."""
+        for num, den in self._cuts:
+            if sum(nj * aj for nj, aj in zip(num, a)) < m * den:
+                return False
+        cert = self.contains(tuple(Fraction(x, m) for x in a))
+        if cert.verdict == INSIDE:
+            return True
+        den = math.lcm(*(x.denominator for x in cert.w))
+        self._cuts.append((tuple(int(x * den) for x in cert.w), den))
+        return False
 
 
 def _affine_dependence(points: Sequence[RatVec]) -> list[Fraction] | None:
@@ -390,47 +420,57 @@ def power(ideal: MonomialIdeal, m: int) -> MonomialIdeal:
     return MonomialIdeal(ideal.dim, sums)
 
 
-def integral_closure(ideal: MonomialIdeal) -> MonomialIdeal:
+def integral_closure(
+    ideal: MonomialIdeal, *, power_of: tuple[NewtonPolyhedron, int] | None = None
+) -> MonomialIdeal:
     """Minimal generators of the integral closure: the minimal lattice
     points of the Newton polyhedron.
 
     The scan is confined to the box below the componentwise maximum M of
     the generators: a polyhedron lattice point with a coordinate above M
     keeps slack >= 1 there, so decrementing that coordinate stays inside
-    and the point is not minimal.  Three shortcuts keep the LP count low
-    (domination by a found generator, membership in the ideal itself, and
-    separation by a cached outside functional); all are sound because the
-    scan is ascending lex and the polyhedron is up-closed.
+    and the point is not minimal.
+
+    ``power_of=(P, m)`` declares that ``ideal`` is the m-th power (m >= 1)
+    of ``P.ideal``.  Membership is then decided on m.P, with the LPs over
+    the generators of ``P.ideal`` and the cuts cached on P, which all
+    powers share; the result is the same.
+
+    The scan is ascending lex and the polyhedron is up-closed, so a point
+    reaches the membership test only when no generator found so far lies
+    below it.  Such a point lies in the ideal only if it is one of its
+    generators: any generator below it is in the closure and comes
+    earlier in the scan, so it would have been found or dominated.  A set
+    lookup therefore replaces the ideal membership test, and the cached
+    cuts come before any LP.
     """
+    poly, m = power_of if power_of is not None else (NewtonPolyhedron(ideal), 1)
+    if m < 1:
+        raise ValueError(f"the scaled polyhedron needs a power m >= 1, got {m}")
     dim = ideal.dim
     bounds = tuple(max(g[j] for g in ideal.generators) for j in range(dim))
-    poly = NewtonPolyhedron(ideal)
-    cuts: list[tuple[tuple[int, ...], int]] = []  # w as (numerators, denominator)
+    gens = set(ideal.generators)
 
     def inside(a: Vec) -> bool:
-        if ideal.contains(a):  # in the ideal, hence inside
-            return True
-        for num, den in cuts:  # w.a < 1 certified outside already
-            if sum(nj * aj for nj, aj in zip(num, a)) < den:
-                return False
-        cert = poly.contains(a)
-        if cert.verdict == INSIDE:
-            return True
-        den = math.lcm(*(x.denominator for x in cert.w))
-        cuts.append((tuple(int(x * den) for x in cert.w), den))
-        return False
+        return a in gens or poly.contains_scaled(a, m)
 
     return MonomialIdeal(dim, minimal_points(bounds, inside))
+
+
+def first_missing_generator(ideal: MonomialIdeal, closure: MonomialIdeal) -> Vec | None:
+    """The ascending-lex first generator of ``closure`` (the integral
+    closure of ``ideal``) that lies outside ``ideal``, or None.  A closure
+    generator lies in the ideal only if it is an ideal generator: any
+    generator below it is in the closure, so minimality makes them equal."""
+    gens = set(ideal.generators)
+    return min((g for g in closure.generators if g not in gens), default=None)
 
 
 def is_integrally_closed(ideal: MonomialIdeal) -> tuple[bool, Vec | None]:
     """(True, None), or (False, witness) with the witness a closure
     generator outside the ideal, ascending-lex first."""
-    closed = integral_closure(ideal)
-    missing = sorted(g for g in closed.generators if not ideal.contains(g))
-    if missing:
-        return False, missing[0]
-    return True, None
+    witness = first_missing_generator(ideal, integral_closure(ideal))
+    return witness is None, witness
 
 
 @dataclass(frozen=True)
@@ -442,10 +482,13 @@ class NormalityVerdict:
 
 def is_normal(ideal: MonomialIdeal) -> NormalityVerdict:
     """Whether every power is integrally closed.  Powers 1..n-1 decide it
-    in n variables (one power in one variable)."""
+    in n variables (one power in one variable).  Every power is scanned
+    on the one polyhedron of the ideal, scaled, with one cut cache."""
+    poly = NewtonPolyhedron(ideal)
     top = max(1, ideal.dim - 1)
     for m in range(1, top + 1):
-        closed, witness = is_integrally_closed(power(ideal, m))
-        if not closed:
+        pw = power(ideal, m)
+        witness = first_missing_generator(pw, integral_closure(pw, power_of=(poly, m)))
+        if witness is not None:
             return NormalityVerdict(False, failing_power=m, witness=witness)
     return NormalityVerdict(True)

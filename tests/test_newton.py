@@ -7,12 +7,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monideal import newton
 from monideal import (
     INSIDE,
     OUTSIDE,
     MembershipCertificate,
     MonomialIdeal,
     NewtonPolyhedron,
+    NormalityVerdict,
     affinely_independent,
     box_enumerate,
     caratheodory_reduce,
@@ -327,3 +329,70 @@ def test_normal_ideal_powers_stay_closed():
     ideal = parse_ideal("2,0;1,1;0,2")
     for m in (1, 2, 3):
         assert is_integrally_closed(power(ideal, m))[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_scaled_polyhedron_matches_each_power_polyhedron(data):
+    """The closure of I^m scanned on m.NP(I) equals the closure scanned on
+    NP(I^m), and is_normal on the one scaled polyhedron gives the verdict
+    of the loop over is_integrally_closed(power(I, m))."""
+    dim = data.draw(st.integers(2, 4))
+    vec = st.lists(st.integers(0, 5), min_size=dim, max_size=dim).map(tuple)
+    ideal = MonomialIdeal(dim, data.draw(st.lists(vec, min_size=1, max_size=5)))
+    m = data.draw(st.sampled_from([1, 2, 3]))
+    pw = power(ideal, m)
+    scaled = integral_closure(pw, power_of=(NewtonPolyhedron(ideal), m))
+    assert scaled == integral_closure(pw)
+
+    expected = NormalityVerdict(True)
+    for k in range(1, max(1, dim - 1) + 1):
+        closed, witness = is_integrally_closed(power(ideal, k))
+        if not closed:
+            expected = NormalityVerdict(False, failing_power=k, witness=witness)
+            break
+    assert is_normal(ideal) == expected
+
+
+def test_is_normal_runs_every_lp_on_the_base_ideal(monkeypatch):
+    """All three powers of this normal ideal are scanned on NP(I) with one
+    cut cache: 5 LPs of 4 columns each, 20 columns in all.  Scanning each
+    power on its own polyhedron took 12 LPs and 152 columns."""
+    ideal = parse_ideal("1,1,0,0;1,0,0,2;0,1,1,0;0,0,2,1")
+    columns = []
+    contains = NewtonPolyhedron.contains
+
+    def counted(self, point):
+        assert self.ideal == ideal
+        columns.append(len(self.ideal.generators))
+        return contains(self, point)
+
+    monkeypatch.setattr(newton.NewtonPolyhedron, "contains", counted)
+    assert is_normal(ideal).normal
+    assert columns == [len(ideal.generators)] * 5
+
+
+def test_cuts_learnt_at_one_power_serve_the_next(monkeypatch):
+    """Scanning I = (x^2, y^3) learns the one cut 3a + 2b < 6.  Read as
+    3a + 2b < 2*6 it rejects every outside point of I^2, so the scan of
+    the second power runs LPs only at its inside points (3,2) and (1,5)."""
+    ideal = parse_ideal("2,0;0,3")
+    poly = NewtonPolyhedron(ideal)
+    assert integral_closure(ideal, power_of=(poly, 1)) == integral_closure(ideal)
+    assert poly._cuts == [((3, 2), 6)]
+    points = []
+    contains = NewtonPolyhedron.contains
+
+    def counted(self, point):
+        cert = contains(self, point)
+        points.append((point, cert.verdict))
+        return cert
+
+    monkeypatch.setattr(newton.NewtonPolyhedron, "contains", counted)
+    closed = integral_closure(power(ideal, 2), power_of=(poly, 2))
+    assert format_ideal(closed) == "4,0;3,2;2,3;1,5;0,6"
+    half = Fraction(1, 2)
+    assert points == [((half, 5 * half), INSIDE), ((3 * half, 1), INSIDE)]
+    assert poly._cuts == [((3, 2), 6)]
+    with pytest.raises(ValueError):
+        integral_closure(ideal, power_of=(poly, 0))
