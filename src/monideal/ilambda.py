@@ -120,7 +120,7 @@ def ilambda_generators(spec: LambdaSpec) -> MonomialIdeal:
         mins = minimal_points(
             spec.lam, lambda a: sum(w * x for w, x in zip(omega, a)) >= L
         )
-        object.__setattr__(spec, "_closure", MonomialIdeal(spec.n, mins))
+        object.__setattr__(spec, "_closure", MonomialIdeal.from_antichain(spec.n, mins))
     return spec._closure
 
 

@@ -142,6 +142,19 @@ class MonomialIdeal:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "generators", minimalize(gens))
 
+    @classmethod
+    def from_antichain(cls, dim: int, antichain: Iterable[Vec]) -> "MonomialIdeal":
+        """The ideal of a known antichain of nonnegative ``dim``-vectors,
+        such as the minimal points ``minimal_points`` returns.  Nothing is
+        checked or minimalized; the points are only sorted descending lex."""
+        gens = tuple(sorted(antichain, reverse=True))
+        if not gens:
+            raise ZeroIdeal("a monomial ideal needs at least one generator")
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "dim", dim)
+        object.__setattr__(ideal, "generators", gens)
+        return ideal
+
     def __setattr__(self, name, value):
         raise AttributeError("MonomialIdeal is immutable")
 

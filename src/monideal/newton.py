@@ -6,11 +6,15 @@ conv(g_1, .., g_r) + R^n_{>=0}.  A point a lies in it iff the system
 
     sum_k c_k g_k + s = a,   sum_k c_k = 1,   c >= 0,  s >= 0
 
-is feasible, which a phase-1 simplex over Fraction arithmetic decides.
-Both answers carry certificates that re-verify by plain arithmetic with no
-solver state: a feasible tableau yields the convex weights and slack; an
-infeasible one yields, through the dual values of the artificial columns,
-a functional w >= 0 with w.g >= 1 on every generator but w.a < 1.
+is feasible, which a phase-1 simplex decides.  It pivots one integer
+tableau whose true entries are its integers over one positive common
+denominator, fraction-free as in Bareiss elimination and lrs, so every
+pivot is exact integer arithmetic; Fractions appear only when the answer
+is read off.  Both answers carry rational certificates that re-verify by
+plain Fraction arithmetic with no solver state: a feasible tableau yields
+the convex weights and slack; an infeasible one yields, through the dual
+values of the artificial columns, a functional w >= 0 with w.g >= 1 on
+every generator but w.a < 1.
 
 Integral closure is the set of lattice points of the polyhedron; its
 minimal generators all lie in the box below the componentwise maximum of
@@ -155,18 +159,25 @@ class MembershipCertificate:
         raise ValueError(f"malformed certificate: {data!r}")
 
 
-def _pivot(rows, obj, basis, leave, enter):
-    piv = rows[leave][enter]
-    rows[leave] = [v / piv for v in rows[leave]]
+def _pivot(rows, obj, basis, leave, enter, d):
+    """One fraction-free pivot; returns the new common denominator.
+
+    The tableau holds integers whose true values are entry / d.  Row
+    ``leave`` keeps its integers; every other row, the objective row and
+    rows with a zero in the entering column alike, becomes
+    (row * piv - row[enter] * prow) / d, and piv is the new denominator.
+    Each entry is then a minor of the integer start matrix, so the
+    division is exact (Bareiss; integer pivoting as in lrs)."""
     prow = rows[leave]
+    piv = prow[enter]
     for i, row in enumerate(rows):
-        if i != leave and row[enter] != 0:
+        if i != leave:
             f = row[enter]
-            rows[i] = [v - f * p for v, p in zip(row, prow)]
-    if obj[enter] != 0:
-        f = obj[enter]
-        obj[:] = [v - f * p for v, p in zip(obj, prow)]
+            rows[i] = [(v * piv - f * p) // d for v, p in zip(row, prow)]
+    f = obj[enter]
+    obj[:] = [(v * piv - f * p) // d for v, p in zip(obj, prow)]
     basis[leave] = enter
+    return piv
 
 
 def _phase1(gens: Sequence[Vec], point: RatVec):
@@ -174,28 +185,37 @@ def _phase1(gens: Sequence[Vec], point: RatVec):
 
     Returns ('inside', weights, slack) with the basic solution, or
     ('outside', w) with the normalized separating functional.
+
+    The tableau is integer with one positive common denominator d, and
+    the right-hand side is scaled by q, the lcm of the point's
+    denominators; pivots act on rows, so that scaling changes no pivot
+    choice.  Bland's rule reads only signs and the ratio test compares by
+    cross-multiplying, so the basis sequence is that of the same simplex
+    over rationals.  Fractions appear only when the answer is read off.
     """
     n = len(point)
     r = len(gens)
     width = r + n  # structural columns: convex weights, then slacks
     nrows = n + 1
+    q = math.lcm(*(x.denominator for x in point))
 
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for j in range(n):
-        row = [Fraction(g[j]) for g in gens]
-        row += [_F1 if k == j else _F0 for k in range(n)]
-        row += [_F1 if i == j else _F0 for i in range(nrows)]
-        row.append(point[j])
+        row = [g[j] for g in gens]
+        row += [1 if k == j else 0 for k in range(n)]
+        row += [1 if i == j else 0 for i in range(nrows)]
+        row.append(point[j].numerator * (q // point[j].denominator))
         rows.append(row)
-    last = [_F1] * r + [_F0] * n
-    last += [_F1 if i == n else _F0 for i in range(nrows)]
-    last.append(_F1)
+    last = [1] * r + [0] * n
+    last += [1 if i == n else 0 for i in range(nrows)]
+    last.append(q)
     rows.append(last)
 
     # phase-1 reduced costs for the all-artificial starting basis
     obj = [-sum(rows[i][j] for i in range(nrows)) for j in range(width)]
-    obj += [_F0] * (nrows + 1)
+    obj += [0] * (nrows + 1)
     basis = [width + i for i in range(nrows)]
+    d = 1
 
     while True:
         enter = None
@@ -206,38 +226,40 @@ def _phase1(gens: Sequence[Vec], point: RatVec):
         if enter is None:
             break
         leave = None
-        best = None
         for i in range(nrows):
             a = rows[i][enter]
             if a > 0:
-                t = rows[i][-1] / a
-                if best is None or t < best or (t == best and basis[i] < basis[leave]):
-                    best = t
+                if leave is None:
+                    leave = i
+                    continue
+                # b_i / a < b_l / a_l, with both a positive
+                lhs, rhs = rows[i][-1] * rows[leave][enter], rows[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise ConsistencyError("phase-1 simplex claims an unbounded objective")
-        _pivot(rows, obj, basis, leave, enter)
+        d = _pivot(rows, obj, basis, leave, enter, d)
 
     residual = sum(rows[i][-1] for i in range(nrows) if basis[i] >= width)
     if residual == 0:
         x = [_F0] * width
         for i, b in enumerate(basis):
             if b < width:
-                x[b] = rows[i][-1]
+                x[b] = Fraction(rows[i][-1], d * q)
         return INSIDE, tuple(x[:r]), tuple(x[r:])
 
-    # infeasible: read the dual off the artificial columns and turn it
-    # into the separating functional
-    y = [1 - obj[width + i] for i in range(nrows)]
-    s = y[n]
-    if s <= 0 or any(y[j] > 0 for j in range(n)):
+    # infeasible: the duals of the artificial columns are y_i = Y_i / d
+    # with Y_i = d - obj[width + i].  The functional w = -y_j / y_n,
+    # normalized to min w.g = 1, is u / min(u.g) for u = -Y[:n], since
+    # the positive factor d * y_n cancels; min w.g < 1 iff min u.g < Y_n.
+    Y = [d - obj[width + i] for i in range(nrows)]
+    if Y[n] <= 0 or any(Y[j] > 0 for j in range(n)):
         raise ConsistencyError("phase-1 dual has the wrong sign pattern")
-    w = tuple(-y[j] / s for j in range(n))
-    m = min(dot(w, g) for g in gens)
-    if m < 1:
+    u = [-Y[j] for j in range(n)]
+    m = min(sum(uj * gj for uj, gj in zip(u, g)) for g in gens)
+    if m < Y[n]:
         raise ConsistencyError("separating functional fails on a generator")
-    w = tuple(x / m for x in w)
-    return OUTSIDE, w, None
+    return OUTSIDE, tuple(Fraction(uj, m) for uj in u), None
 
 
 class NewtonPolyhedron:
@@ -454,7 +476,7 @@ def integral_closure(
     def inside(a: Vec) -> bool:
         return a in gens or poly.contains_scaled(a, m)
 
-    return MonomialIdeal(dim, minimal_points(bounds, inside))
+    return MonomialIdeal.from_antichain(dim, minimal_points(bounds, inside))
 
 
 def first_missing_generator(ideal: MonomialIdeal, closure: MonomialIdeal) -> Vec | None:

@@ -20,6 +20,7 @@ from monideal import (
     parse_ideal,
     parse_vector,
 )
+from monideal.lattice import minimal_points
 
 small_vec = st.lists(st.integers(0, 6), min_size=1, max_size=4).map(tuple)
 vec3 = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
@@ -95,9 +96,24 @@ def test_ideal_constructor_minimalizes_and_orders():
     assert ideal.generators == ((2, 0), (0, 2))
 
 
+@given(st.lists(vec3, min_size=1, max_size=10), st.randoms(use_true_random=False))
+def test_ideal_from_antichain_matches_minimalizing_constructor(points, rng):
+    """A known antichain in any order gives the ideal the constructor
+    builds by minimalizing, and so do the minimal points of a box scan."""
+    antichain = list(minimalize(points))
+    rng.shuffle(antichain)
+    built = MonomialIdeal.from_antichain(3, antichain)
+    up = MonomialIdeal(3, points)
+    assert built == up
+    scanned = minimal_points((5, 5, 5), up.contains)
+    assert MonomialIdeal.from_antichain(3, scanned) == up
+
+
 def test_ideal_rejects_bad_input():
     with pytest.raises(ZeroIdeal):
         MonomialIdeal(2, [])
+    with pytest.raises(ZeroIdeal):
+        MonomialIdeal.from_antichain(2, [])
     with pytest.raises(DimensionMismatch):
         MonomialIdeal(2, [(1, 2, 3)])
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from monideal import newton
 from monideal import (
@@ -241,6 +241,59 @@ def test_inside_certificate_support_is_affinely_independent(data):
     support = [g for g, _ in cert.terms]
     assert len(support) <= dim + 1
     assert affinely_independent(support)
+
+
+def test_certificates_match_pinned_fixture():
+    """210 queries whose certificates were written by the simplex over a
+    Fraction tableau that the integer tableau replaced: generator points,
+    facet points where the ratio test ties, the zero point, exponents up
+    to 10**6 and point denominators up to 10**6.  The integer tableau
+    takes the same pivots, so every certificate must match byte for
+    byte."""
+    entries = json.loads((FIXTURES / "lp_certificates.json").read_text())
+    assert len(entries) >= 200
+    for entry in entries:
+        poly = NewtonPolyhedron(parse_ideal(entry["ideal"]))
+        cert = poly.contains(Fraction(x) for x in entry["point"])
+        assert json.dumps(cert.to_json_dict()) == json.dumps(entry["certificate"]), entry
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_tableau_certificates_verify(data):
+    """Certificates from the integer tableau re-verify in Fraction
+    arithmetic on points near the boundary, with exponents and point
+    denominators up to 10**6; no ConsistencyError is raised.  On small
+    integer points an inside verdict is forced whenever the power
+    criterion certifies one."""
+    dim = data.draw(st.integers(2, 5))
+    top = data.draw(st.sampled_from((6, 10**6)))
+    vec = st.lists(st.integers(0, top), min_size=dim, max_size=dim).map(tuple)
+    ideal = MonomialIdeal(dim, data.draw(st.lists(vec, min_size=1, max_size=7)))
+    poly = NewtonPolyhedron(ideal)
+    if top == 6 and data.draw(st.booleans()):
+        a = tuple(data.draw(st.lists(st.integers(0, 7), min_size=dim, max_size=dim)))
+        cert = poly.contains(a)
+        assert cert.verify(poly)
+        if power_membership(ideal, a, max_power=4) is not None:
+            assert cert.verdict == INSIDE, (ideal, a)
+        return
+    big = st.integers(1, 10**6)
+    raw = [data.draw(st.integers(0, 10**6)) for _ in ideal.generators]
+    if not any(raw):
+        raw[0] = 1
+    slack = [Fraction(data.draw(st.integers(0, top)), data.draw(big)) for _ in range(dim)]
+    den = data.draw(big)
+    scale = Fraction(data.draw(st.integers(3 * den // 4, 3 * den // 2)), den)
+    point = tuple(
+        scale * (sum(Fraction(r, sum(raw)) * g[j] for r, g in zip(raw, ideal.generators))
+                 + slack[j])
+        for j in range(dim)
+    )
+    cert = poly.contains(point)
+    event(cert.verdict)
+    assert cert.point == point
+    assert cert.verify(poly)
 
 
 def test_power_examples():
