@@ -25,6 +25,7 @@ from .lattice import (
     box_enumerate,
     minimal_points,
     require_same_dim,
+    split,
 )
 
 EQUIVALENT = "equivalent"
@@ -124,29 +125,10 @@ def ilambda_generators(spec: LambdaSpec) -> MonomialIdeal:
     return spec._closure
 
 
-def _split(spec: LambdaSpec, a: Vec, p: int, gens, memo) -> tuple[Vec, ...] | None:
-    key = (a, p)
-    hit = memo.get(key, memo)
-    if hit is not memo:
-        return hit
-    result = None
-    if spec.omega_dot(a) >= p * spec.L:  # necessary: each part needs value >= L
-        if p == 1:
-            result = (a,)
-        else:
-            for g in gens:
-                for x, y in zip(g, a):
-                    if x > y:
-                        break
-                else:
-                    rest = _split(
-                        spec, tuple(x - y for x, y in zip(a, g)), p - 1, gens, memo
-                    )
-                    if rest is not None:
-                        result = (g,) + rest
-                        break
-    memo[key] = result
-    return result
+def _fits(spec: LambdaSpec):
+    # j closure-set parts each have omega-value >= L; j = 1 is membership
+    omega, L = spec.omega, spec.L
+    return lambda v, j: sum(w * x for w, x in zip(omega, v)) >= j * L
 
 
 def decompose(spec: LambdaSpec, a: Iterable[int], p: int) -> tuple[Vec, ...] | None:
@@ -162,8 +144,7 @@ def decompose(spec: LambdaSpec, a: Iterable[int], p: int) -> tuple[Vec, ...] | N
         raise ValueError(f"part count must be positive, got {p}")
     if any(x < 0 for x in a):
         return None
-    gens = ilambda_generators(spec).generators
-    return _split(spec, a, p, gens, {})
+    return split(a, p, ilambda_generators(spec).generators, _fits(spec), {})
 
 
 @dataclass(frozen=True)
@@ -181,7 +162,8 @@ def is_normal_lambda(
     Fast paths: at most two variables, and gcd(lam) > n - 2; both are
     always normal.  Otherwise it suffices to check points of the open box
     a_i < lam_i: the closure ideal is normal iff every such a with
-    omega . a >= p * L, p < n, splits into p closure-set parts.  The
+    omega . a >= p * L, 2 <= p < n, splits into p closure-set parts
+    (p = 1 needs no check: such an a is its own one-part split).  The
     first failing (p, a), p outermost and a in ascending lex, is the
     witness."""
     n = spec.n
@@ -191,12 +173,12 @@ def is_normal_lambda(
         if gcd(*spec.lam) > n - 2:
             return LambdaNormalityVerdict(True, None, "gcd")
     gens = ilambda_generators(spec).generators
+    fits = _fits(spec)
     memo: dict = {}
     bounds = tuple(v - 1 for v in spec.lam)
-    for p in range(1, n):
-        need = p * spec.L
+    for p in range(2, n):
         for a in box_enumerate(bounds):
-            if spec.omega_dot(a) >= need and _split(spec, a, p, gens, memo) is None:
+            if fits(a, p) and split(a, p, gens, fits, memo) is None:
                 return LambdaNormalityVerdict(False, (p, a), "exhaustive")
     return LambdaNormalityVerdict(True, None, "exhaustive")
 

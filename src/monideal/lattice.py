@@ -116,6 +116,41 @@ def minimal_points(bounds: Vec, member: Callable[[Vec], bool]) -> list[Vec]:
     return mins
 
 
+def split(
+    a: Vec, k: int, parts, fits: Callable[[Vec, int], bool], memo: dict
+) -> tuple[Vec, ...] | None:
+    """Write a as (g_1, .., g_{k-1}, rest), k >= 1, each g_i the first of
+    ``parts`` under which the remainder splits, or return None.
+
+    ``fits(v, j)`` must hold for every v that splits into j parts: it
+    prunes the search, and at j == 1 it alone decides the rest.  ``memo``
+    maps (v, j) to the answer; calls with the same parts and fits may
+    share it.
+    """
+    key = (a, k)
+    hit = memo.get(key, memo)
+    if hit is not memo:
+        return hit
+    result = None
+    if fits(a, k):
+        if k == 1:
+            result = (a,)
+        else:
+            for g in parts:
+                for x, y in zip(g, a):
+                    if x > y:
+                        break
+                else:
+                    rest = split(
+                        tuple(y - x for x, y in zip(g, a)), k - 1, parts, fits, memo
+                    )
+                    if rest is not None:
+                        result = (g,) + rest
+                        break
+    memo[key] = result
+    return result
+
+
 class MonomialIdeal:
     """A nonzero monomial ideal in a fixed number of variables.
 

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .ilambda import LambdaSpec, ilambda_generators
-from .lattice import ConsistencyError, Vec, require_same_dim
+from .lattice import ConsistencyError, Vec, require_same_dim, split
 from .monoid import almost_quasinormal
 
 
@@ -132,32 +132,6 @@ def r1_satisfied(spec: LambdaSpec) -> tuple[bool, Vec | None]:
     return witness is not None, witness
 
 
-def _facet_split(rest: Vec, d: int, betas, memo) -> tuple[Vec, ...] | None:
-    """Split the nonnegative vector rest into d parts drawn from the
-    sigma-zero generator exponents, exactly."""
-    key = (rest, d)
-    hit = memo.get(key, memo)
-    if hit is not memo:
-        return hit
-    result = None
-    if d == 0:
-        result = () if all(x == 0 for x in rest) else None
-    else:
-        for b in betas:
-            for x, y in zip(b, rest):
-                if x > y:
-                    break
-            else:
-                sub = _facet_split(
-                    tuple(y - x for x, y in zip(b, rest)), d - 1, betas, memo
-                )
-                if sub is not None:
-                    result = (b,) + sub
-                    break
-    memo[key] = result
-    return result
-
-
 def express_on_facet(
     S: ReesSemigroup, point
 ) -> tuple[tuple[Vec, int], ...] | None:
@@ -187,10 +161,13 @@ def express_on_facet(
     # sigma(rest, d_rest) = 0 and rest >= 0, so d_rest = omega.rest / L >= 0
     if d_rest < 0:
         raise ConsistencyError(f"facet reduction broke sigma on {point}")
-    betas = tuple(
-        b for b in S.ideal.generators if spec.omega_dot(b) == spec.L
-    )
-    parts = _facet_split(rest, d_rest, betas, {})
+    # omega.rest = L d_rest with every omega_i > 0, so d_rest = 0 forces
+    # rest = 0; sums of betas stay on the facet, so only the last part
+    # needs a test: it must be a sigma-zero exponent exactly
+    parts = ()
+    if d_rest:
+        betas = tuple(b for b in S.ideal.generators if spec.omega_dot(b) == spec.L)
+        parts = split(rest, d_rest, betas, lambda v, j: j > 1 or v in betas, {})
     if parts is None:
         return None
     combo: list[tuple[Vec, int]] = []
@@ -220,10 +197,12 @@ def grp_facet_check(S: ReesSemigroup, radius: int) -> bool:
     express_on_facet.  True when all sampled points pass."""
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    n1 = S.spec.n + 1
-    for point in itertools.product(range(-radius, radius + 1), repeat=n1):
-        if S.sigma_value(point) != 0:
-            continue
-        if express_on_facet(S, point) is None:
-            return False
+    omega, L = S.spec.omega, S.spec.L
+    # for each a at most one d puts (a, d) on the facet, so walking the
+    # a's in ascending lex visits the facet points of the cube in order
+    for a in itertools.product(range(-radius, radius + 1), repeat=S.spec.n):
+        d, r = divmod(sum(w * x for w, x in zip(omega, a)), L)
+        if r == 0 and -radius <= d <= radius:
+            if express_on_facet(S, a + (d,)) is None:
+                return False
     return True

@@ -107,9 +107,17 @@ def test_decompose_returns_verified_parts():
 
 
 def test_decompose_agrees_with_exhaustive_split_search():
-    for lam in ((2, 3), (2, 2, 2), (2, 3, 5), (2, 3, 7)):
+    # p = 3 on (2, 3, 7) recurses three levels deep and meets points
+    # with omega . a >= 3L that do not split
+    cases = (
+        ((2, 3), (1, 2)),
+        ((2, 2, 2), (1, 2)),
+        ((2, 3, 5), (1, 2)),
+        ((2, 3, 7), (1, 2, 3)),
+    )
+    for lam, ps in cases:
         spec = LambdaSpec(lam)
-        for p in (1, 2):
+        for p in ps:
             for a in box_enumerate(tuple(min(2 * v, 8) for v in lam)):
                 found = decompose(spec, a, p) is not None
                 assert found == split_oracle(spec, a, p), (lam, a, p)

@@ -20,7 +20,7 @@ from monideal import (
     parse_ideal,
     parse_vector,
 )
-from monideal.lattice import minimal_points
+from monideal.lattice import minimal_points, split
 
 small_vec = st.lists(st.integers(0, 6), min_size=1, max_size=4).map(tuple)
 vec3 = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
@@ -107,6 +107,45 @@ def test_ideal_from_antichain_matches_minimalizing_constructor(points, rng):
     assert built == up
     scanned = minimal_points((5, 5, 5), up.contains)
     assert MonomialIdeal.from_antichain(3, scanned) == up
+
+
+def exact(parts):
+    """The exact split predicate: only the last part is tested, and it
+    must be one of the parts."""
+    return lambda v, j: j > 1 or v in parts
+
+
+@given(st.lists(vec3, min_size=1, max_size=5, unique=True), st.integers(1, 4), st.data())
+def test_split_matches_brute_force_over_part_multisets(parts, k, data):
+    # a sum of k parts, sometimes moved off it, so both answers occur
+    picks = data.draw(st.lists(st.sampled_from(parts), min_size=k, max_size=k))
+    shift = data.draw(st.sampled_from(((0, 0, 0), (1, 0, 0), (0, 0, -1))))
+    a = tuple(max(0, sum(col) + s) for col, s in zip(zip(*picks), shift))
+    found = split(a, k, parts, exact(parts), {})
+    brute = any(
+        tuple(map(sum, zip(*combo))) == a
+        for combo in itertools.combinations_with_replacement(parts, k)
+    )
+    assert (found is not None) == brute
+    if found is not None:
+        assert len(found) == k and all(g in parts for g in found)
+        assert tuple(map(sum, zip(*found))) == a
+
+
+def test_split_examples():
+    parts = ((2, 0), (1, 1), (0, 2))
+    memo = {}
+    assert split((1, 1), 2, parts, exact(parts), memo) is None
+    assert memo[((1, 1), 2)] is None
+    # the first part in the given order under which the rest splits
+    assert split((2, 2), 2, parts, exact(parts), {}) == ((2, 0), (0, 2))
+    assert split((3, 1), 2, parts, exact(parts), {}) == ((2, 0), (1, 1))
+    assert split((1, 1), 1, parts, exact(parts), {}) == ((1, 1),)
+    # a first part that fits but leaves no split is backed out of
+    parts = ((1, 0), (2, 0), (0, 1))
+    assert split((2, 1), 2, parts, exact(parts), {}) == ((2, 0), (0, 1))
+    # fits prunes: nothing past a false fits(a, k) is searched
+    assert split((2, 2), 2, parts, lambda v, j: False, {}) is None
 
 
 def test_ideal_rejects_bad_input():

@@ -13,6 +13,7 @@ from monideal import (
     height_one_primes,
     r1_satisfied,
 )
+from monideal import rees
 
 
 def test_semigroup_generators_and_facet_form():
@@ -129,3 +130,21 @@ def test_facet_group_identity_small_examples():
     assert grp_facet_check(ReesSemigroup(LambdaSpec((1,))), 4)
     with pytest.raises(ValueError):
         grp_facet_check(ReesSemigroup(LambdaSpec((2, 2))), -1)
+
+
+def test_facet_check_samples_exactly_the_facet_points_of_the_cube(monkeypatch):
+    seen = []
+    real = rees.express_on_facet
+
+    def record(S, point):
+        seen.append(point)
+        return real(S, point)
+
+    monkeypatch.setattr(rees, "express_on_facet", record)
+    for lam in ((1,), (2, 3), (4, 6), (2, 3, 7), (2, 2, 3, 3)):
+        S = ReesSemigroup(LambdaSpec(lam))
+        for radius in range(4):
+            seen.clear()
+            assert grp_facet_check(S, radius), (lam, radius)
+            cube = itertools.product(range(-radius, radius + 1), repeat=len(lam) + 1)
+            assert seen == [p for p in cube if S.sigma_value(p) == 0], (lam, radius)
