@@ -22,7 +22,6 @@ from .lattice import (
     MonomialIdeal,
     Vec,
     as_vec,
-    box_enumerate,
     minimal_points,
     require_same_dim,
     split,
@@ -117,10 +116,8 @@ def ilambda_generators(spec: LambdaSpec) -> MonomialIdeal:
 
     The scan runs once per spec; later calls return the ideal it kept."""
     if spec._closure is None:
-        omega, L = spec.omega, spec.L
-        mins = minimal_points(
-            spec.lam, lambda a: sum(w * x for w, x in zip(omega, a)) >= L
-        )
+        fits = _fits(spec)
+        mins = minimal_points(spec.lam, lambda a: fits(a, 1))
         object.__setattr__(spec, "_closure", MonomialIdeal.from_antichain(spec.n, mins))
     return spec._closure
 
@@ -165,7 +162,8 @@ def is_normal_lambda(
     omega . a >= p * L, 2 <= p < n, splits into p closure-set parts
     (p = 1 needs no check: such an a is its own one-part split).  The
     first failing (p, a), p outermost and a in ascending lex, is the
-    witness."""
+    witness.  Adding a - b to one part of a split of b <= a splits a, so
+    it is a minimal point of omega . a >= p * L, and only those are tested."""
     n = spec.n
     if not force_enumeration:
         if n <= 2:
@@ -177,8 +175,8 @@ def is_normal_lambda(
     memo: dict = {}
     bounds = tuple(v - 1 for v in spec.lam)
     for p in range(2, n):
-        for a in box_enumerate(bounds):
-            if fits(a, p) and split(a, p, gens, fits, memo) is None:
+        for a in minimal_points(bounds, lambda a: fits(a, p)):
+            if split(a, p, gens, fits, memo) is None:
                 return LambdaNormalityVerdict(False, (p, a), "exhaustive")
     return LambdaNormalityVerdict(True, None, "exhaustive")
 

@@ -76,7 +76,7 @@ def minimalize(points: Iterable[Vec]) -> tuple[Vec, ...]:
 def any_below(points: Iterable[Vec], a: Vec) -> bool:
     """Whether some point of ``points`` is componentwise <= a, i.e. the
     monomial ideal they generate contains x^a.  No dimension check: this
-    is the inner loop of every domination test."""
+    is the inner loop of ideal membership and of minimalize."""
     for q in points:
         for x, y in zip(q, a):
             if x > y:
@@ -104,15 +104,24 @@ def minimal_points(bounds: Vec, member: Callable[[Vec], bool]) -> list[Vec]:
     """Minimal points, ascending lex, of an up-closed set S restricted to
     the box 0 <= a <= bounds.
 
-    ``member`` is asked only about box points that no minimal point found
-    so far lies below.  Every point below a lies earlier in ascending lex
-    order, so a point of S that passes that test is minimal; ``member``
-    may therefore keep state across calls (cached cuts, say).
+    Each column c = (a_1..a_{n-1}), in ascending lex, is climbed until it
+    meets S or its cap, the least of least[c - e_i] over c_i > 0, where an
+    earlier minimal point starts to lie below (Miller-Sturmfels, ch. 3).
+    So ``member`` is asked, in ascending lex order, about exactly the box
+    points no minimal point found so far lies below; such a point of S is
+    minimal, and ``member`` may keep state across calls (cached cuts, say).
     """
+    *cols, top = as_vec(bounds)
+    least: dict[Vec, int] = {}
     mins: list[Vec] = []
-    for a in box_enumerate(bounds):
-        if not any_below(reversed(mins), a) and member(a):
-            mins.append(a)
+    for col in itertools.product(*(range(b + 1) for b in cols)):
+        down = (col[:i] + (c - 1,) + col[i + 1 :] for i, c in enumerate(col) if c)
+        t, cap = 0, min((least[d] for d in down), default=top + 1)
+        while t < cap and not member(col + (t,)):
+            t += 1
+        least[col] = t
+        if t < cap:
+            mins.append(col + (t,))
     return mins
 
 

@@ -17,10 +17,10 @@ values of the artificial columns, a functional w >= 0 with w.g >= 1 on
 every generator but w.a < 1.
 
 Integral closure is the set of lattice points of the polyhedron; its
-minimal generators all lie in the box below the componentwise maximum of
-the input generators, so one bounded scan with certificate reuse finds
-them.  An ideal is normal when all its powers are integrally closed, and
-checking powers 1..n-1 suffices in n variables.
+minimal generators lie below the componentwise maximum of the input
+generators, and one staircase walk up the columns of that box, with
+certificate reuse, finds them.  An ideal is normal when all its powers
+are integrally closed; checking powers 1..n-1 suffices in n variables.
 
 The powers need no polyhedron of their own: NP(I^m) = m.NP(I), so the
 closure of I^m is the set of lattice points a with a/m in NP(I).  One

@@ -23,7 +23,7 @@ from .monoid import almost_quasinormal
 class ReesSemigroup:
     """Generators and facet data of the semigroup of one LambdaSpec."""
 
-    __slots__ = ("spec", "ideal", "generators", "sigma")
+    __slots__ = ("spec", "ideal", "generators", "sigma", "facet_betas")
 
     def __init__(self, spec: LambdaSpec):
         ideal = ilambda_generators(spec)
@@ -39,6 +39,8 @@ class ReesSemigroup:
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "generators", tuple(gens))
         object.__setattr__(self, "sigma", spec.omega + (-spec.L,))
+        facet = tuple(b for b in ideal.generators if spec.omega_dot(b) == spec.L)
+        object.__setattr__(self, "facet_betas", facet)
 
     def __setattr__(self, name, value):
         raise AttributeError("ReesSemigroup is immutable")
@@ -103,7 +105,7 @@ def height_one_primes(S: ReesSemigroup) -> tuple[MonomialPrime, ...]:
         MonomialPrime(
             label="P_sigma",
             ring_vars=tuple(range(1, n + 1)),
-            t_generators=tuple(b for b in betas if spec.omega_dot(b) > spec.L),
+            t_generators=tuple(b for b in betas if b not in S.facet_betas),
         )
     )
     return tuple(primes)
@@ -166,7 +168,7 @@ def express_on_facet(
     # needs a test: it must be a sigma-zero exponent exactly
     parts = ()
     if d_rest:
-        betas = tuple(b for b in S.ideal.generators if spec.omega_dot(b) == spec.L)
+        betas = S.facet_betas
         parts = split(rest, d_rest, betas, lambda v, j: j > 1 or v in betas, {})
     if parts is None:
         return None

@@ -174,24 +174,26 @@ def test_sweep_rows_for_known_lambda():
 
 def test_sweep_row_scans_and_checks_almost_qn_once(monkeypatch):
     """One row builds the closure generators once, shared by the normality
-    test and the Rees semigroup, and reads almost_qn off r1_satisfied."""
-    calls = {"scan": 0, "almost_qn": 0}
+    test and the Rees semigroup, and reads almost_qn off r1_satisfied.  The
+    normality test adds one staircase of omega.a >= 2L below lam - 1."""
+    scans, calls = [], {"almost_qn": 0}
     scan, almost_qn = ilambda.minimal_points, monoid.almost_quasinormal
 
-    def counted_scan(*args):
-        calls["scan"] += 1
-        return scan(*args)
+    def recorded_scan(bounds, member):
+        scans.append(tuple(bounds))
+        return scan(bounds, member)
 
     def counted_almost_qn(*args):
         calls["almost_qn"] += 1
         return almost_qn(*args)
 
-    monkeypatch.setattr(ilambda, "minimal_points", counted_scan)
+    monkeypatch.setattr(ilambda, "minimal_points", recorded_scan)
     for module in (monoid, rees, cli):  # every module that binds the name
         monkeypatch.setattr(module, "almost_quasinormal", counted_almost_qn)
     row = sweep_row((2, 3, 7), None)
     assert row[2:6] == ["false", "p=2;alpha=1,2,6", "false", "false"]
-    assert calls == {"scan": 1, "almost_qn": 1}
+    assert scans == [(2, 3, 7), (1, 2, 6)]
+    assert calls == {"almost_qn": 1}
 
 
 def test_readme_commands_parse():

@@ -142,19 +142,28 @@ def test_normality_fast_paths_and_witness():
     assert {"p": p, "alpha": ",".join(map(str, alpha))} == fixture["witness"]
 
 
-def test_normality_witness_fails_to_split_and_is_first():
-    spec = LambdaSpec((2, 3, 7))
-    p, alpha = is_normal_lambda(spec).witness
-    assert spec.omega_dot(alpha) >= p * spec.L
-    assert decompose(spec, alpha, p) is None
-    assert all(a < v for a, v in zip(alpha, spec.lam))
-    # nothing earlier in (p, lex) order fails
-    for q in range(1, p + 1):
+def oracle_witness(spec):
+    """The first (p, a), p outermost and a in ascending lex over the whole
+    open box a < lam, that the exhaustive split search cannot split."""
+    for p in range(1, spec.n):
         for a in box_enumerate(tuple(v - 1 for v in spec.lam)):
-            if q == p and a >= alpha:
-                break
-            if spec.omega_dot(a) >= q * spec.L:
-                assert decompose(spec, a, q) is not None, (q, a)
+            if spec.omega_dot(a) >= p * spec.L and not split_oracle(spec, a, p):
+                return p, a
+    return None
+
+
+def test_normality_witness_fails_to_split_and_is_first():
+    tuples = itertools.chain(
+        itertools.combinations_with_replacement(range(2, 10), 3),
+        itertools.combinations_with_replacement(range(2, 6), 4),
+    )
+    for lam in tuples:
+        spec = LambdaSpec(lam)
+        witness = oracle_witness(spec)
+        assert is_normal_lambda(spec, force_enumeration=True).witness == witness, lam
+        assert is_normal_lambda(spec).normal == (witness is None), lam
+        if witness is not None:
+            assert decompose(spec, witness[1], witness[0]) is None, lam
 
 
 def test_forced_enumeration_agrees_with_fast_paths():

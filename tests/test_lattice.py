@@ -20,7 +20,7 @@ from monideal import (
     parse_ideal,
     parse_vector,
 )
-from monideal.lattice import minimal_points, split
+from monideal.lattice import any_below, minimal_points, split
 
 small_vec = st.lists(st.integers(0, 6), min_size=1, max_size=4).map(tuple)
 vec3 = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
@@ -107,6 +107,38 @@ def test_ideal_from_antichain_matches_minimalizing_constructor(points, rng):
     assert built == up
     scanned = minimal_points((5, 5, 5), up.contains)
     assert MonomialIdeal.from_antichain(3, scanned) == up
+
+
+def box_walk(bounds, member):
+    """The reference scan: the whole box in ascending lex, skipping every
+    point that a minimal point found so far lies below."""
+    mins = []
+    for a in box_enumerate(bounds):
+        if not any_below(reversed(mins), a) and member(a):
+            mins.append(a)
+    return mins
+
+
+@given(st.data())
+def test_minimal_points_asks_what_the_box_walk_asks(data):
+    """The staircase asks ``member`` about the same points, in the same
+    order, as the box walk, and returns the same points.  The generators
+    of the up-closed set may lie outside the box, or be absent."""
+    bounds = data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=5).map(tuple))
+    n = len(bounds)
+    point = st.lists(st.integers(0, 8), min_size=n, max_size=n).map(tuple)
+    gens = data.draw(st.lists(point, max_size=5))
+
+    def run(scan):
+        asked = []
+
+        def member(a):
+            asked.append(a)
+            return any_below(gens, a)
+
+        return scan(bounds, member), asked
+
+    assert run(minimal_points) == run(box_walk)
 
 
 def exact(parts):

@@ -186,7 +186,11 @@ def test_window_pass_points_really_split():
 
 
 def test_normal_lambda_implies_clean_default_window():
-    for lam in itertools.product(range(1, 6), repeat=3):
+    cubes = itertools.chain(
+        itertools.product(range(1, 9), repeat=3),
+        itertools.product(range(1, 6), repeat=4),
+    )
+    for lam in cubes:
         spec = LambdaSpec(lam)
         if is_normal_lambda(spec).normal:
             assert quasinormal_window(spec).status == QUASINORMAL_ON_WINDOW, lam
