@@ -19,10 +19,13 @@ from math import gcd, lcm
 from collections.abc import Iterable
 
 from .lattice import (
+    Frozen,
     MonomialIdeal,
     Vec,
     as_vec,
+    dot,
     minimal_points,
+    parse_vector,
     require_same_dim,
     split,
 )
@@ -31,7 +34,7 @@ EQUIVALENT = "equivalent"
 FORWARD_ONLY = "forward-only"
 
 
-class LambdaSpec:
+class LambdaSpec(Frozen):
     """A vector of positive integers with its derived data: L = lcm and
     omega_i = L / lambda_i, plus the closure ideal once
     ilambda_generators has scanned for it and the Apery set of the
@@ -55,35 +58,19 @@ class LambdaSpec:
         object.__setattr__(self, "_closure", None)
         object.__setattr__(self, "_apery", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LambdaSpec is immutable")
-
-    def __reduce__(self):
-        # rebuild from lam: pickle and copy would otherwise restore the
-        # slots through __setattr__; the caches are recomputed on demand
-        return (LambdaSpec, (self.lam,))
+    def _args(self):
+        return (self.lam,)
 
     @classmethod
     def parse(cls, text: str) -> "LambdaSpec":
-        from .lattice import parse_vector
-
         return cls(parse_vector(text))
 
     @property
     def n(self) -> int:
         return len(self.lam)
 
-    def omega_dot(self, a: Vec) -> int:
-        require_same_dim(self.omega, tuple(a))
-        return sum(w * x for w, x in zip(self.omega, a))
-
-    def __eq__(self, other):
-        if not isinstance(other, LambdaSpec):
-            return NotImplemented
-        return self.lam == other.lam
-
-    def __hash__(self):
-        return hash(self.lam)
+    def omega_dot(self, a: Iterable[int]) -> int:
+        return dot(self.omega, tuple(a))
 
     def __repr__(self):
         return f"LambdaSpec({list(self.lam)!r})"

@@ -160,7 +160,31 @@ def split(
     return result
 
 
-class MonomialIdeal:
+class Frozen:
+    """Base of the immutable value classes.  A subclass fills its slots
+    through ``object.__setattr__`` and names its constructor arguments in
+    ``_args()``; equality, hashing, pickling and copying go through those
+    alone, so cache slots left out of ``_args()`` never travel."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # pickle and copy would otherwise restore the slots via __setattr__
+        return type(self), self._args()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._args() == other._args()
+
+    def __hash__(self):
+        return hash(self._args())
+
+
+class MonomialIdeal(Frozen):
     """A nonzero monomial ideal in a fixed number of variables.
 
     ``generators`` is the antichain of minimal generator exponents in
@@ -199,12 +223,8 @@ class MonomialIdeal:
         object.__setattr__(ideal, "generators", gens)
         return ideal
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialIdeal is immutable")
-
-    def __reduce__(self):
-        # pickle and copy would otherwise restore the slots via __setattr__
-        return (MonomialIdeal, (self.dim, self.generators))
+    def _args(self):
+        return self.dim, self.generators
 
     def contains(self, a: Iterable[int]) -> bool:
         """Whether x^a lies in the ideal: some generator divides x^a."""
@@ -214,14 +234,6 @@ class MonomialIdeal:
                 f"point {a} has dimension {len(a)}, expected {self.dim}"
             )
         return any_below(self.generators, a)
-
-    def __eq__(self, other):
-        if not isinstance(other, MonomialIdeal):
-            return NotImplemented
-        return self.dim == other.dim and self.generators == other.generators
-
-    def __hash__(self):
-        return hash((self.dim, self.generators))
 
     def __repr__(self):
         return f"MonomialIdeal({self.dim}, {list(self.generators)!r})"

@@ -41,6 +41,7 @@ from collections.abc import Iterable, Sequence
 
 from .lattice import (
     ConsistencyError,
+    Frozen,
     MonomialIdeal,
     Vec,
     dot,
@@ -111,7 +112,7 @@ class MembershipCertificate:
                 return False
             if any(wt <= 0 for wt in weights) or sum(weights) != 1:
                 return False
-            if any(s < 0 for s in self.slack):
+            if len(self.slack) != len(self.point) or any(s < 0 for s in self.slack):
                 return False
             for j in range(len(self.point)):
                 lhs = sum(wt * g[j] for g, wt in self.terms) + self.slack[j]
@@ -262,7 +263,7 @@ def _phase1(gens: Sequence[Vec], point: RatVec):
     return OUTSIDE, tuple(Fraction(uj, m) for uj in u), None
 
 
-class NewtonPolyhedron:
+class NewtonPolyhedron(Frozen):
     """Membership oracle for conv(generators) + R^n_{>=0} of one ideal.
 
     ``_cuts`` caches the outside functionals found by ``contains_scaled``
@@ -276,20 +277,8 @@ class NewtonPolyhedron:
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "_cuts", [])
 
-    def __setattr__(self, name, value):
-        raise AttributeError("NewtonPolyhedron is immutable")
-
-    def __reduce__(self):
-        # pickle and copy would otherwise restore the slots via __setattr__
-        return (NewtonPolyhedron, (self.ideal,))
-
-    def __eq__(self, other):
-        if not isinstance(other, NewtonPolyhedron):
-            return NotImplemented
-        return self.ideal == other.ideal
-
-    def __hash__(self):
-        return hash(self.ideal)
+    def _args(self):
+        return (self.ideal,)
 
     def contains(self, point: Iterable) -> MembershipCertificate:
         """Decide membership of a nonnegative rational point; the returned

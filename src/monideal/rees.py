@@ -16,11 +16,11 @@ import itertools
 from dataclasses import dataclass
 
 from .ilambda import LambdaSpec, ilambda_generators
-from .lattice import ConsistencyError, Vec, require_same_dim, split
+from .lattice import ConsistencyError, Frozen, Vec, dot, require_same_dim, split
 from .monoid import almost_quasinormal
 
 
-class ReesSemigroup:
+class ReesSemigroup(Frozen):
     """Generators and facet data of the semigroup of one LambdaSpec."""
 
     __slots__ = ("spec", "ideal", "generators", "sigma", "facet_betas")
@@ -42,26 +42,11 @@ class ReesSemigroup:
         facet = tuple(b for b in ideal.generators if spec.omega_dot(b) == spec.L)
         object.__setattr__(self, "facet_betas", facet)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ReesSemigroup is immutable")
-
-    def __reduce__(self):
-        # pickle and copy would otherwise restore the slots via __setattr__;
-        # everything else is derived from the spec
-        return (ReesSemigroup, (self.spec,))
-
-    def __eq__(self, other):
-        if not isinstance(other, ReesSemigroup):
-            return NotImplemented
-        return self.spec == other.spec
-
-    def __hash__(self):
-        return hash(self.spec)
+    def _args(self):
+        return (self.spec,)
 
     def sigma_value(self, point) -> int:
-        point = tuple(int(x) for x in point)
-        require_same_dim(point, self.sigma)
-        return sum(c * x for c, x in zip(self.sigma, point))
+        return dot(tuple(int(x) for x in point), self.sigma)
 
     def __repr__(self):
         return f"ReesSemigroup({self.spec!r})"

@@ -20,7 +20,9 @@ from monideal import (
     parse_ideal,
     parse_vector,
 )
+from monideal.ilambda import ilambda_generators
 from monideal.lattice import any_below, minimal_points, split
+from monideal.monoid import apery_set
 
 small_vec = st.lists(st.integers(0, 6), min_size=1, max_size=4).map(tuple)
 vec3 = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
@@ -253,19 +255,40 @@ def test_vector_round_trip(v):
     assert parse_vector(format_vector(v)) == v
 
 
+def _warm_polyhedron():
+    poly = NewtonPolyhedron(MonomialIdeal(2, [(2, 0), (0, 2)]))
+    assert not poly.contains_scaled((1, 0), 1) and poly._cuts
+    return poly
+
+
+def _warm_spec():
+    spec = LambdaSpec((2, 3, 7))
+    ilambda_generators(spec)
+    apery_set(spec)
+    assert spec._closure is not None and spec._apery is not None
+    return spec
+
+
 @pytest.mark.parametrize(
     "make",
     [
         lambda: MonomialIdeal(2, [(1, 0), (0, 3)]),
-        lambda: NewtonPolyhedron(MonomialIdeal(2, [(2, 0), (0, 2)])),
-        lambda: LambdaSpec((2, 3, 7)),
+        lambda: _warm_polyhedron(),
+        lambda: _warm_spec(),
         lambda: ReesSemigroup(LambdaSpec((2, 3))),
     ],
 )
 def test_immutable_objects_pickle_and_copy(make):
     """The slotted immutable classes rebuild from their constructor
-    arguments, so pickling (worker processes) and copying work."""
+    arguments, so pickling (worker processes) and copying work; no
+    attribute can be assigned, an object is never equal to its argument
+    tuple, and the caches (closure, Apery set, cuts) start afresh."""
     obj = make()
+    name = type(obj).__name__
+    for attr in type(obj).__slots__ + ("other",):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(obj, attr, None)
+    assert obj != obj._args() and obj._args() != obj
     for clone in (
         pickle.loads(pickle.dumps(obj)),
         copy.copy(obj),
@@ -273,3 +296,7 @@ def test_immutable_objects_pickle_and_copy(make):
     ):
         assert type(clone) is type(obj)
         assert clone == obj and hash(clone) == hash(obj)
+        if isinstance(obj, LambdaSpec):
+            assert clone._closure is None and clone._apery is None
+        if isinstance(obj, NewtonPolyhedron):
+            assert clone._cuts == []

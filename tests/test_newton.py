@@ -110,6 +110,15 @@ def test_certificate_verification_rejects_tampering():
         INSIDE, good.point, terms=good.terms, slack=good.slack, denominator=4
     )
     assert not bad_denominator.verify(poly)
+    for slack in (good.slack + (Fraction(0),), good.slack[:-1]):
+        wrong_length = MembershipCertificate(
+            INSIDE,
+            good.point,
+            terms=good.terms,
+            slack=slack,
+            denominator=good.denominator,
+        )
+        assert not wrong_length.verify(poly)
     out = NewtonPolyhedron(ideal).contains((1, 0))
     too_small = MembershipCertificate(
         OUTSIDE, out.point, w=tuple(x / 2 for x in out.w)
