@@ -29,7 +29,6 @@ from .ilambda import (
 )
 from .lattice import (
     ConsistencyError,
-    box_enumerate,
     format_ideal,
     format_vector,
     parse_ideal,
@@ -48,7 +47,7 @@ from .newton import (
     is_normal,
     power,
 )
-from .oracles import closure_oracle, split_oracle, window_split_oracle
+from .oracles import closure_oracle, normality_oracle, window_split_oracle
 from .rees import ReesSemigroup, height_one_primes, r1_satisfied
 
 CSV_HEADER = [
@@ -87,10 +86,9 @@ def cmd_closure(args) -> dict:
 def cmd_power_closure(args) -> dict:
     ideal = parse_ideal(args.gens)
     pw = power(ideal, args.power)
+    closed = pw  # power 0: the unit ideal, its own closure
     if args.power >= 1:
         closed = integral_closure(pw, power_of=(NewtonPolyhedron(ideal), args.power))
-    else:
-        closed = integral_closure(pw)  # the unit ideal, which is closed
     witness = first_missing_generator(pw, closed)
     return {
         "gens": format_ideal(ideal),
@@ -267,17 +265,9 @@ def seed_fixtures(outdir: str) -> list[str]:
     parts-maximization table, brute-force membership table) rather than
     the production algorithms."""
     os.makedirs(outdir, exist_ok=True)
-    written = []
-
     spec = LambdaSpec((2, 3, 7))
-    witness = None
-    for p in range(1, spec.n):
-        if witness:
-            break
-        for a in box_enumerate(tuple(v - 1 for v in spec.lam)):
-            if spec.omega_dot(a) >= p * spec.L and not split_oracle(spec, a, p):
-                witness = {"p": p, "alpha": format_vector(a)}
-                break
+    found = normality_oracle(spec)
+    witness = None if found is None else {"p": found[0], "alpha": format_vector(found[1])}
     bound = default_window_bound(spec)
     win = window_split_oracle(spec, bound)
     target_in_monoid = membership_table(spec.omega, spec.L + 1)[spec.L + 1]
@@ -298,24 +288,20 @@ def seed_fixtures(outdir: str) -> list[str]:
         },
         "ilambda_generators": format_ideal(closure_oracle(j_ideal(spec))),
     }
-    path = os.path.join(outdir, "lambda_2_3_7.json")
-    with open(path, "w") as fh:
-        json.dump(fixture, fh, indent=2)
-        fh.write("\n")
-    written.append(path)
-
     examples = []
     for gens in ("2,0;0,2", "3,0;0,3", "2,1;0,3", "4,0;0,4", "2,0,0;0,3,0;0,0,3"):
         ideal = parse_ideal(gens)
         examples.append(
             {"gens": format_ideal(ideal), "closure": format_ideal(closure_oracle(ideal))}
         )
-    path = os.path.join(outdir, "closure_examples.json")
-    with open(path, "w") as fh:
-        json.dump(examples, fh, indent=2)
-        fh.write("\n")
-    written.append(path)
 
+    written = []
+    for name, data in (("lambda_2_3_7.json", fixture), ("closure_examples.json", examples)):
+        path = os.path.join(outdir, name)
+        with open(path, "w") as fh:
+            json.dump(data, fh, indent=2)
+            fh.write("\n")
+        written.append(path)
     return written
 
 
@@ -323,8 +309,10 @@ def cmd_seed_fixtures(args) -> dict:
     return {"written": seed_fixtures(args.out_dir)}
 
 
-def _add_out(sub: argparse.ArgumentParser) -> None:
+def _leaf(sub: argparse.ArgumentParser, handler) -> None:
+    """Finish a leaf subcommand: the shared --out, after its own options."""
     sub.add_argument("--out", default=None, help="write output to this file")
+    sub.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,14 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("closure", help="integral closure of an ideal")
     p.add_argument("--gens", required=True, help='generators, e.g. "2,0;0,2"')
-    _add_out(p)
-    p.set_defaults(handler=cmd_closure)
+    _leaf(p, cmd_closure)
 
     p = commands.add_parser("power-closure", help="closure of the m-th power")
     p.add_argument("--gens", required=True)
     p.add_argument("--power", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(handler=cmd_power_closure)
+    _leaf(p, cmd_power_closure)
 
     p = commands.add_parser("normal", help="decide normality")
     group = p.add_mutually_exclusive_group(required=True)
@@ -353,58 +339,49 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--lambda", dest="lam", default=None, help='e.g. "2,3,7"')
     p.add_argument("--force-enumeration", action="store_true",
                    help="skip the fast paths on the lambda route")
-    _add_out(p)
-    p.set_defaults(handler=cmd_normal)
+    _leaf(p, cmd_normal)
 
     p = commands.add_parser("ilambda-gens",
                             help="minimal generators of the closure of the axis ideal")
     p.add_argument("--lambda", dest="lam", required=True)
-    _add_out(p)
-    p.set_defaults(handler=cmd_ilambda_gens)
+    _leaf(p, cmd_ilambda_gens)
 
     monoid_cmd = commands.add_parser("monoid", help="scaled-monoid questions")
     monoid_sub = monoid_cmd.add_subparsers(dest="subcommand", required=True)
     p = monoid_sub.add_parser("almost-qn", help="is L+1 in the scaled monoid")
     p.add_argument("--lambda", dest="lam", required=True)
-    _add_out(p)
-    p.set_defaults(handler=cmd_monoid_almost_qn)
+    _leaf(p, cmd_monoid_almost_qn)
     p = monoid_sub.add_parser("quasinormal", help="windowed quasinormality check")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--bound", type=int, default=None,
                    help="window bound (default: max(4nL, 2(L + conductor)))")
-    _add_out(p)
-    p.set_defaults(handler=cmd_monoid_quasinormal)
+    _leaf(p, cmd_monoid_quasinormal)
 
     rees_cmd = commands.add_parser("rees", help="Rees-semigroup questions")
     rees_sub = rees_cmd.add_subparsers(dest="subcommand", required=True)
     p = rees_sub.add_parser("r1", help="codimension-one regularity on the sigma facet")
     p.add_argument("--lambda", dest="lam", required=True)
-    _add_out(p)
-    p.set_defaults(handler=cmd_rees_r1)
+    _leaf(p, cmd_rees_r1)
     p = rees_sub.add_parser("primes", help="height-one monomial primes")
     p.add_argument("--lambda", dest="lam", required=True)
-    _add_out(p)
-    p.set_defaults(handler=cmd_rees_primes)
+    _leaf(p, cmd_rees_primes)
 
     p = commands.add_parser("reduce", help="bump one entry by the lcm of the others")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--index", type=int, required=True, help="1-based entry to bump")
-    _add_out(p)
-    p.set_defaults(handler=cmd_reduce)
+    _leaf(p, cmd_reduce)
 
     p = commands.add_parser("certify", help="membership certificate for one point")
     p.add_argument("--gens", required=True)
     p.add_argument("--point", required=True, help='rational point, e.g. "1,1" or "1/2,3"')
-    _add_out(p)
-    p.set_defaults(handler=cmd_certify)
+    _leaf(p, cmd_certify)
 
     p = commands.add_parser("sweep", help="CSV over canonical lambda tuples")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-lambda", type=int, required=True)
     p.add_argument("--bound", type=int, default=None, help="window bound override")
     p.add_argument("--workers", type=int, default=1)
-    _add_out(p)
-    p.set_defaults(handler=cmd_sweep)
+    _leaf(p, cmd_sweep)
 
     p = commands.add_parser("seed-fixtures",
                             help="recompute the regression fixtures by oracle routes")
@@ -415,32 +392,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already reported; fold into our codes
-        return int(exc.code) if exc.code else 0
-
-    try:
+        args = build_parser().parse_args(argv)
         payload = args.handler(args)
-    except ConsistencyError as exc:
-        print(f"internal consistency error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:  # covers DimensionMismatch and ZeroIdeal
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
-    try:
+        text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except OSError as exc:
+    except SystemExit as exc:  # argparse already reported; fold into our codes
+        return int(exc.code) if exc.code else 0
+    except ConsistencyError as exc:
+        print(f"internal consistency error: {exc}", file=sys.stderr)
+        return 4
+    except OSError as exc:  # the handler's own files or the --out write
         print(f"io error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # covers DimensionMismatch and ZeroIdeal
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0

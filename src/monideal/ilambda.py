@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul
 from collections.abc import Iterable
 
 from .lattice import (
@@ -72,6 +73,11 @@ class LambdaSpec(Frozen):
     def omega_dot(self, a: Iterable[int]) -> int:
         return dot(self.omega, tuple(a))
 
+    def fits(self, v: Vec, j: int = 1) -> bool:
+        """omega . v >= j * L, true of every v that splits into j closure-set
+        parts; j = 1 is membership.  The scans' hot test: no dim or sign check."""
+        return sum(map(mul, self.omega, v)) >= j * self.L
+
     def __repr__(self):
         return f"LambdaSpec({list(self.lam)!r})"
 
@@ -103,16 +109,9 @@ def ilambda_generators(spec: LambdaSpec) -> MonomialIdeal:
 
     The scan runs once per spec; later calls return the ideal it kept."""
     if spec._closure is None:
-        fits = _fits(spec)
-        mins = minimal_points(spec.lam, lambda a: fits(a, 1))
+        mins = minimal_points(spec.lam, spec.fits)
         object.__setattr__(spec, "_closure", MonomialIdeal.from_antichain(spec.n, mins))
     return spec._closure
-
-
-def _fits(spec: LambdaSpec):
-    # j closure-set parts each have omega-value >= L; j = 1 is membership
-    omega, L = spec.omega, spec.L
-    return lambda v, j: sum(w * x for w, x in zip(omega, v)) >= j * L
 
 
 def decompose(spec: LambdaSpec, a: Iterable[int], p: int) -> tuple[Vec, ...] | None:
@@ -128,7 +127,7 @@ def decompose(spec: LambdaSpec, a: Iterable[int], p: int) -> tuple[Vec, ...] | N
         raise ValueError(f"part count must be positive, got {p}")
     if any(x < 0 for x in a):
         return None
-    return split(a, p, ilambda_generators(spec).generators, _fits(spec), {})
+    return split(a, p, ilambda_generators(spec).generators, spec.fits, {})
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,7 @@ def is_normal_lambda(
         if gcd(*spec.lam) > n - 2:
             return LambdaNormalityVerdict(True, None, "gcd")
     gens = ilambda_generators(spec).generators
-    fits = _fits(spec)
+    fits = spec.fits
     memo: dict = {}
     bounds = tuple(v - 1 for v in spec.lam)
     for p in range(2, n):

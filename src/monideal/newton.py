@@ -374,10 +374,10 @@ def caratheodory_reduce(
     phase-1 simplex ends on a basic solution, whose positive weights sit
     on affinely independent generators, at most n + 1 of them.
 
-    One dependence is eliminated per round: scale it so some coefficient
-    is positive, drop the index maximizing c_i/b_i (smallest index on
-    ties), and fold its weight into the rest.  The combination value is
-    preserved exactly; weights stay positive and sum to one.
+    One dependence is eliminated per round: drop the index maximizing
+    c_i/b_i over c_i > 0 (the first free c_i is 1; smallest index on ties)
+    and fold its weight into the rest.  The combination value is preserved
+    exactly; weights stay positive and sum to one.
     """
     pts = [tuple(Fraction(x) for x in p) for p in points]
     wts = [Fraction(x) for x in weights]
@@ -396,8 +396,6 @@ def caratheodory_reduce(
         c = _affine_dependence(pts)
         if c is None:
             return tuple(pts), tuple(wts)
-        if not any(x > 0 for x in c):
-            c = [-x for x in c]
         istar = None
         for i, ci in enumerate(c):
             if ci > 0 and (istar is None or ci * wts[istar] > c[istar] * wts[i]):

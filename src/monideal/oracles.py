@@ -3,9 +3,11 @@
 Everything here decides membership questions by a different method than
 the module it checks: closure via the power criterion instead of the
 polyhedral solver, splits via exhaustive search over the whole exponent
-set instead of minimal-generator recursion, and window quasinormality via
-the literal parts-maximization table over a brute-force membership
-table instead of the Apery set and the excess gap levels.
+set instead of minimal-generator recursion, normality via that search
+over the whole open box instead of its minimal points, and window
+quasinormality via the literal parts-maximization table over a
+brute-force membership table instead of the Apery set and the excess
+gap levels.
 The fixture seeder records these outputs so the test suite can pin them.
 """
 
@@ -62,6 +64,19 @@ def split_oracle(spec: LambdaSpec, a, p: int) -> bool:
         return False
 
     return rec(a, p)
+
+
+def normality_oracle(spec: LambdaSpec) -> tuple[int, Vec] | None:
+    """The first (p, a), p from 1 outermost and a in ascending lex over
+    the whole open box a < lam, with omega . a >= p * L that split_oracle
+    cannot split into p parts, or None.  The normality criterion read
+    literally: no fast path and no restriction to minimal points."""
+    box = tuple(v - 1 for v in spec.lam)
+    for p in range(1, spec.n):
+        for a in box_enumerate(box):
+            if spec.omega_dot(a) >= p * spec.L and not split_oracle(spec, a, p):
+                return p, a
+    return None
 
 
 def max_parts_table(monoid: LambdaSpec, bound: int) -> list[int]:

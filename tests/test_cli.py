@@ -4,10 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from monideal import cli, ilambda, monoid, rees
-from monideal.cli import CSV_HEADER, build_parser, main, sweep_csv, sweep_row
+from monideal.cli import CSV_HEADER, main, sweep_csv, sweep_row
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -35,6 +33,15 @@ def test_power_closure_command(capsys):
     assert data["closure"] == "4,0;3,1;2,2;1,3;0,4"
     assert data["closed"] is False
     assert data["witness"] == "1,3"
+    data = run_json(capsys, "power-closure", "--gens", "2,0;0,3", "--power", "0")
+    assert data == {
+        "gens": "2,0;0,3",
+        "power": 0,
+        "power_generators": "0,0",
+        "closure": "0,0",
+        "closed": True,
+        "witness": None,
+    }
 
 
 def test_normal_lambda_command(capsys):
@@ -196,18 +203,28 @@ def test_sweep_row_scans_and_checks_almost_qn_once(monkeypatch):
     assert calls == {"almost_qn": 1}
 
 
-def test_readme_commands_parse():
-    """Every command line the README documents is accepted by the parser."""
-    block = README.read_text().split("## Command line", 1)[1]
-    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = [line for line in block.splitlines() if line.startswith("monideal ")]
+def test_readme_commands_parse(capsys, tmp_path):
+    """Every command line the README documents runs and exits 0, with its
+    --out path moved under tmp_path, and the output shapes it shows are
+    what the commands print."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block, shapes = section.split("```sh\n")[1:3]
+    lines = [line for line in block.split("```")[0].splitlines()
+             if line.startswith("monideal ")]
     assert lines
-    parser = build_parser()
     for line in lines:
-        try:
-            parser.parse_args(shlex.split(line)[1:])
-        except SystemExit:
-            pytest.fail(f"README command does not parse: {line}")
+        argv = shlex.split(line)[1:]
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / Path(argv[i]).name)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (line, err)
+    examples = shapes.split("```")[0].split("$ ")[1:]
+    assert len(examples) == 2
+    for example in examples:
+        line, shown = example.split("\n", 1)
+        data = run_json(capsys, *shlex.split(line)[1:])
+        assert data == json.loads(shown), line
 
 
 def test_sweep_deterministic_across_worker_counts(tmp_path):

@@ -21,7 +21,7 @@ from monideal import (
     j_ideal,
     parse_ideal,
 )
-from monideal.oracles import split_oracle
+from monideal.oracles import normality_oracle, split_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -143,16 +143,6 @@ def test_normality_fast_paths_and_witness():
     assert {"p": p, "alpha": ",".join(map(str, alpha))} == fixture["witness"]
 
 
-def oracle_witness(spec):
-    """The first (p, a), p outermost and a in ascending lex over the whole
-    open box a < lam, that the exhaustive split search cannot split."""
-    for p in range(1, spec.n):
-        for a in box_enumerate(tuple(v - 1 for v in spec.lam)):
-            if spec.omega_dot(a) >= p * spec.L and not split_oracle(spec, a, p):
-                return p, a
-    return None
-
-
 def test_normality_witness_fails_to_split_and_is_first():
     tuples = itertools.chain(
         itertools.combinations_with_replacement(range(2, 10), 3),
@@ -160,7 +150,7 @@ def test_normality_witness_fails_to_split_and_is_first():
     )
     for lam in tuples:
         spec = LambdaSpec(lam)
-        witness = oracle_witness(spec)
+        witness = normality_oracle(spec)
         assert is_normal_lambda(spec, force_enumeration=True).witness == witness, lam
         assert is_normal_lambda(spec).normal == (witness is None), lam
         if witness is not None:

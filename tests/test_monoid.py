@@ -84,6 +84,18 @@ def test_conductor_is_tight():
             assert not table[c - 1], lam
 
 
+def test_apery_round_robin_restarts_from_a_smaller_entry():
+    """omega = (21, 14, 9), m = 9: the walk of 14 reaches 84 at residue 3,
+    where 21 already sits, and must go on from 21; carrying 84 on misreads
+    ap[8] and ap[4] as 98 and 112 (not 35 and 49) and 14 values of in_M."""
+    spec = mon(6, 9, 14)
+    assert (spec.L, spec.omega) == (126, (21, 14, 9))
+    table = membership_table(spec.omega, 3 * spec.L)
+    assert [in_M(spec, s) for s in range(3 * spec.L + 1)] == table
+    c = conductor(spec)
+    assert all(table[c:]) and not table[c - 1]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(1, 12), min_size=1, max_size=4), st.data())
 def test_apery_routes_match_brute_force_routes(lam, data):
