@@ -11,6 +11,7 @@ order, which is the canonical order for all printed output.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable, Iterable, Iterator
 
 Vec = tuple[int, ...]
@@ -112,14 +113,20 @@ def minimal_points(bounds: Vec, member: Callable[[Vec], bool]) -> list[Vec]:
     minimal, and ``member`` may keep state across calls (cached cuts, say).
     """
     *cols, top = as_vec(bounds)
-    least: dict[Vec, int] = {}
+    # least[k] is the least member height of the k-th column in product
+    # order; the column c - e_i sits strides[i] positions before c
+    strides = [math.prod(b + 1 for b in cols[i + 1 :]) for i in range(len(cols))]
+    least: list[int] = []
     mins: list[Vec] = []
-    for col in itertools.product(*(range(b + 1) for b in cols)):
-        down = (col[:i] + (c - 1,) + col[i + 1 :] for i, c in enumerate(col) if c)
-        t, cap = 0, min((least[d] for d in down), default=top + 1)
+    for k, col in enumerate(itertools.product(*(range(b + 1) for b in cols))):
+        cap = top + 1
+        for c, s in zip(col, strides):
+            if c and least[k - s] < cap:
+                cap = least[k - s]
+        t = 0
         while t < cap and not member(col + (t,)):
             t += 1
-        least[col] = t
+        least.append(t)
         if t < cap:
             mins.append(col + (t,))
     return mins

@@ -10,11 +10,11 @@ is feasible, which a phase-1 simplex decides.  It pivots one integer
 tableau whose true entries are its integers over one positive common
 denominator, fraction-free as in Bareiss elimination and lrs, so every
 pivot is exact integer arithmetic; Fractions appear only when the answer
-is read off.  Both answers carry rational certificates that re-verify by
-plain Fraction arithmetic with no solver state: a feasible tableau yields
-the convex weights and slack; an infeasible one yields, through the dual
-values of the artificial columns, a functional w >= 0 with w.g >= 1 on
-every generator but w.a < 1.
+is read off.  Both answers carry rational certificates that re-verify in
+integers, once their denominators are cleared, with no solver state: a
+feasible tableau yields the convex weights and slack; an infeasible one
+yields, through the dual values of the artificial columns, a functional
+w >= 0 with w.g >= 1 on every generator but w.a < 1.
 
 Integral closure is the set of lattice points of the polyhedron; its
 minimal generators lie below the componentwise maximum of the input
@@ -37,6 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from collections.abc import Iterable, Sequence
 
 from .lattice import (
@@ -44,7 +45,6 @@ from .lattice import (
     Frozen,
     MonomialIdeal,
     Vec,
-    dot,
     format_vector,
     minimal_points,
     parse_vector,
@@ -66,6 +66,11 @@ def as_rational_point(point: Iterable) -> RatVec:
     if any(x < 0 for x in p):
         raise ValueError(f"query points must be nonnegative, got {p}")
     return p
+
+
+def _scaled(xs: Iterable, q: int) -> list[int]:
+    """q * x for each rational x whose denominator divides q, in ints."""
+    return [x.numerator * (q // x.denominator) for x in xs]
 
 
 def format_rational(x: Fraction) -> str:
@@ -99,38 +104,55 @@ class MembershipCertificate:
     w: RatVec | None = None
 
     def verify(self, polyhedron: "NewtonPolyhedron") -> bool:
-        """Re-check the certificate arithmetically against the polyhedron."""
+        """Re-check the certificate arithmetically against the polyhedron.
+
+        The check runs in integers: every rational is scaled by an lcm of
+        denominators, which keeps signs and turns each equation and
+        inequality into one over the integers.  Entries may be Fractions
+        or ints."""
         gens = polyhedron.ideal.generators
-        if len(self.point) != polyhedron.ideal.dim:
+        n = len(self.point)
+        if n != polyhedron.ideal.dim:
             return False
+        qp = math.lcm(*(x.denominator for x in self.point))
         if self.verdict == INSIDE:
             if self.terms is None or self.slack is None or self.denominator is None:
                 return False
             gen_set = set(gens)
-            weights = [wt for _, wt in self.terms]
             if any(g not in gen_set for g, _ in self.terms):
                 return False
-            if any(wt <= 0 for wt in weights) or sum(weights) != 1:
+            if len(self.slack) != n:
                 return False
-            if len(self.slack) != len(self.point) or any(s < 0 for s in self.slack):
+            # scaled by q: weights W > 0 summing to q, slack S >= 0, and
+            # sum_k W_k g_k + S == P coordinatewise
+            dw = math.lcm(*(wt.denominator for _, wt in self.terms))
+            q = math.lcm(dw, qp, *(s.denominator for s in self.slack))
+            W = _scaled((wt for _, wt in self.terms), q)
+            if any(x <= 0 for x in W) or sum(W) != q:
                 return False
-            for j in range(len(self.point)):
-                lhs = sum(wt * g[j] for g, wt in self.terms) + self.slack[j]
-                if lhs != self.point[j]:
-                    return False
-            d = self.denominator
-            if d < 1 or d != math.lcm(*(wt.denominator for wt in weights)):
+            S = _scaled(self.slack, q)
+            if any(x < 0 for x in S):
                 return False
-            return all((d * wt).denominator == 1 for wt in weights)
+            P = _scaled(self.point, q)
+            columns = zip(*(g for g, _ in self.terms))
+            if any(sum(map(mul, W, c)) + s != p for c, s, p in zip(columns, S, P)):
+                return False
+            # dw >= 1, so this also asks denominator >= 1; and dw * wt is
+            # then an integer for every weight
+            return self.denominator == dw
         if self.verdict == OUTSIDE:
-            if self.w is None or len(self.w) != len(self.point):
+            if self.w is None or len(self.w) != n:
                 return False
-            if any(x < 0 for x in self.w):
+            # scaled by dw: W >= 0, W.g >= dw on every generator with
+            # equality somewhere, and W.(qp point) < dw qp
+            dw = math.lcm(*(x.denominator for x in self.w))
+            W = _scaled(self.w, dw)
+            if any(x < 0 for x in W):
                 return False
-            values = [dot(self.w, g) for g in gens]
-            if any(v < 1 for v in values) or min(values) != 1:
+            if min(sum(map(mul, W, g)) for g in gens) != dw:
                 return False
-            return dot(self.w, self.point) < 1
+            P = _scaled(self.point, qp)
+            return sum(map(mul, W, P)) < dw * qp
         return False
 
     def to_json_dict(self) -> dict:
@@ -309,13 +331,13 @@ class NewtonPolyhedron(Frozen):
         ``contains`` with its re-verified certificate, and an outside
         verdict adds its functional to the cache."""
         for num, den in self._cuts:
-            if sum(nj * aj for nj, aj in zip(num, a)) < m * den:
+            if sum(map(mul, num, a)) < m * den:
                 return False
         cert = self.contains(tuple(Fraction(x, m) for x in a))
         if cert.verdict == INSIDE:
             return True
         den = math.lcm(*(x.denominator for x in cert.w))
-        self._cuts.append((tuple(int(x * den) for x in cert.w), den))
+        self._cuts.append((tuple(_scaled(cert.w, den)), den))
         return False
 
 

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -26,6 +28,7 @@ from monideal import (
     parse_ideal,
     power,
 )
+from monideal.lattice import dot
 from monideal.oracles import closure_oracle, power_membership
 
 from conftest import random_ideal_corpus
@@ -124,6 +127,121 @@ def test_certificate_verification_rejects_tampering():
         OUTSIDE, out.point, w=tuple(x / 2 for x in out.w)
     )
     assert not too_small.verify(poly)
+    half = (Fraction(1, 2), Fraction(1, 2))
+    on_the_hyperplane = MembershipCertificate(OUTSIDE, (Fraction(1), Fraction(1)), w=half)
+    assert not on_the_hyperplane.verify(poly)  # w.point == 1 is not < 1
+    negative_slack = MembershipCertificate(
+        INSIDE,
+        (Fraction(1), Fraction(1)),
+        terms=(((2, 0), Fraction(1)),),
+        slack=(Fraction(-1), Fraction(1)),
+        denominator=1,
+    )
+    assert not negative_slack.verify(poly)
+    short_weights = MembershipCertificate(  # the equation holds, but sum 1/2
+        INSIDE,
+        (Fraction(1), Fraction(1)),
+        terms=(((2, 0), Fraction(1, 2)),),
+        slack=(Fraction(0), Fraction(1)),
+        denominator=2,
+    )
+    assert not short_weights.verify(poly)
+    # slack in thirds under weights in halves: the scaling must clear both
+    thirds = dict(
+        terms=tuple(zip(((2, 0), (0, 2)), half)),
+        slack=(Fraction(1, 3), Fraction(0)),
+        denominator=2,
+    )
+    assert MembershipCertificate(INSIDE, (Fraction(4, 3), Fraction(1)), **thirds).verify(poly)
+    assert not MembershipCertificate(INSIDE, (Fraction(1), Fraction(1)), **thirds).verify(poly)
+    int_weights = MembershipCertificate(
+        INSIDE, (Fraction(3), Fraction(1)), terms=(((2, 0), 1),), slack=(1, 1), denominator=1
+    )
+    assert int_weights.verify(poly)
+    for cert in (on_the_hyperplane, negative_slack, short_weights, int_weights):
+        assert cert.verify(poly) == fraction_verify(cert, poly)
+
+
+def fraction_verify(cert, polyhedron):
+    """The Fraction-arithmetic ``MembershipCertificate.verify`` that the
+    integer one replaced, kept here as its reference."""
+    gens = polyhedron.ideal.generators
+    if len(cert.point) != polyhedron.ideal.dim:
+        return False
+    if cert.verdict == INSIDE:
+        if cert.terms is None or cert.slack is None or cert.denominator is None:
+            return False
+        gen_set = set(gens)
+        weights = [wt for _, wt in cert.terms]
+        if any(g not in gen_set for g, _ in cert.terms):
+            return False
+        if any(wt <= 0 for wt in weights) or sum(weights) != 1:
+            return False
+        if len(cert.slack) != len(cert.point) or any(s < 0 for s in cert.slack):
+            return False
+        for j in range(len(cert.point)):
+            lhs = sum(wt * g[j] for g, wt in cert.terms) + cert.slack[j]
+            if lhs != cert.point[j]:
+                return False
+        d = cert.denominator
+        if d < 1 or d != math.lcm(*(wt.denominator for wt in weights)):
+            return False
+        return all((d * wt).denominator == 1 for wt in weights)
+    if cert.verdict == OUTSIDE:
+        if cert.w is None or len(cert.w) != len(cert.point):
+            return False
+        if any(x < 0 for x in cert.w):
+            return False
+        values = [dot(cert.w, g) for g in gens]
+        if any(v < 1 for v in values) or min(values) != 1:
+            return False
+        return dot(cert.w, cert.point) < 1
+    return False
+
+
+def _nudged(values, i, delta):
+    return values[:i] + (values[i] + delta,) + values[i + 1 :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_verify_matches_fraction_reference(data):
+    """Certificates from ``contains``, with one field nudged by +-1/k or
+    left alone, verify in integers exactly when they verify by the
+    Fraction reference."""
+    dim = data.draw(st.integers(2, 4))
+    vec = st.lists(st.integers(0, 6), min_size=dim, max_size=dim).map(tuple)
+    ideal = MonomialIdeal(dim, data.draw(st.lists(vec, min_size=1, max_size=6)))
+    poly = NewtonPolyhedron(ideal)
+    g, h = (data.draw(st.sampled_from(ideal.generators)) for _ in range(2))
+    t = Fraction(data.draw(st.integers(0, 4)), 4)
+    # scale 5/8..11/8, listed so that shrinking does not favour one verdict
+    s = Fraction(data.draw(st.sampled_from((9, 6, 11, 5, 8, 10, 7))), 8)
+    cert = poly.contains(tuple(s * (t * x + (1 - t) * y) for x, y in zip(g, h)))
+    assert fraction_verify(cert, poly)
+    fields = ["weight", "slack", "denominator"] if cert.verdict == INSIDE else ["w"]
+    fields += ["point", "none"]
+    field = data.draw(st.sampled_from(fields))
+    delta = data.draw(st.sampled_from((-1, 1))) * Fraction(1, data.draw(st.integers(1, 5)))
+    if field == "point":
+        i = data.draw(st.integers(0, dim - 1))
+        cert = dataclasses.replace(cert, point=_nudged(cert.point, i, delta))
+    elif field == "weight":
+        i = data.draw(st.integers(0, len(cert.terms) - 1))
+        gen, wt = cert.terms[i]
+        terms = cert.terms[:i] + ((gen, wt + delta),) + cert.terms[i + 1 :]
+        cert = dataclasses.replace(cert, terms=terms)
+    elif field == "slack":
+        i = data.draw(st.integers(0, dim - 1))
+        cert = dataclasses.replace(cert, slack=_nudged(cert.slack, i, delta))
+    elif field == "denominator":
+        cert = dataclasses.replace(cert, denominator=cert.denominator + delta)
+    elif field == "w":
+        i = data.draw(st.integers(0, dim - 1))
+        cert = dataclasses.replace(cert, w=_nudged(cert.w, i, delta))
+    expected = fraction_verify(cert, poly)
+    event(f"{cert.verdict} {field} {expected}")
+    assert cert.verify(poly) == expected
 
 
 def test_inside_denominator_certifies_power_membership():
@@ -270,11 +388,11 @@ def test_certificates_match_pinned_fixture():
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_integer_tableau_certificates_verify(data):
-    """Certificates from the integer tableau re-verify in Fraction
-    arithmetic on points near the boundary, with exponents and point
-    denominators up to 10**6; no ConsistencyError is raised.  On small
-    integer points an inside verdict is forced whenever the power
-    criterion certifies one."""
+    """Certificates from the integer tableau re-verify, in integers once
+    their denominators are cleared, on points near the boundary, with
+    exponents and point denominators up to 10**6; no ConsistencyError is
+    raised.  On small integer points an inside verdict is forced whenever
+    the power criterion certifies one."""
     dim = data.draw(st.integers(2, 5))
     top = data.draw(st.sampled_from((6, 10**6)))
     vec = st.lists(st.integers(0, top), min_size=dim, max_size=dim).map(tuple)
