@@ -75,7 +75,8 @@ class LambdaSpec(Frozen):
 
     def fits(self, v: Vec, j: int = 1) -> bool:
         """omega . v >= j * L, true of every v that splits into j closure-set
-        parts; j = 1 is membership.  The scans' hot test: no dim or sign check."""
+        parts; j = 1 is membership.  The split search's hot test: no dim or
+        sign check."""
         return sum(map(mul, self.omega, v)) >= j * self.L
 
     def __repr__(self):
@@ -101,6 +102,21 @@ def in_gamma(spec: LambdaSpec, a: Iterable[int]) -> bool:
     return spec.omega_dot(a) >= spec.L
 
 
+def column_floor(spec: LambdaSpec, j: int):
+    """The ``minimal_points`` floor of omega . a >= j * L: on the column
+    c = (a_1..a_{n-1}) the least height is max(0, ceil((jL - omega'.c) /
+    omega_n)), with omega' the first n - 1 weights, capped at cap."""
+    omega, last, need = spec.omega, spec.omega[-1], j * spec.L
+
+    def floor(col: Vec, cap: int) -> int:
+        # map stops at the end of col, so this is omega'.c; the floor
+        # division is -ceil((jL - omega'.c) / omega_n)
+        t = (sum(map(mul, omega, col)) - need) // last
+        return 0 if t >= 0 else min(-t, cap)
+
+    return floor
+
+
 def ilambda_generators(spec: LambdaSpec) -> MonomialIdeal:
     """Minimal generators of the closure ideal: minimal lattice points of
     omega . a >= L.  They all satisfy a <= lam: a point with a_i > lam_i
@@ -109,7 +125,7 @@ def ilambda_generators(spec: LambdaSpec) -> MonomialIdeal:
 
     The scan runs once per spec; later calls return the ideal it kept."""
     if spec._closure is None:
-        mins = minimal_points(spec.lam, spec.fits)
+        mins = minimal_points(spec.lam, column_floor(spec, 1))
         object.__setattr__(spec, "_closure", MonomialIdeal.from_antichain(spec.n, mins))
     return spec._closure
 
@@ -161,7 +177,7 @@ def is_normal_lambda(
     memo: dict = {}
     bounds = tuple(v - 1 for v in spec.lam)
     for p in range(2, n):
-        for a in minimal_points(bounds, lambda a: fits(a, p)):
+        for a in minimal_points(bounds, column_floor(spec, p)):
             if split(a, p, gens, fits, memo) is None:
                 return LambdaNormalityVerdict(False, (p, a), "exhaustive")
     return LambdaNormalityVerdict(True, None, "exhaustive")

@@ -101,16 +101,18 @@ def box_enumerate(
             yield point
 
 
-def minimal_points(bounds: Vec, member: Callable[[Vec], bool]) -> list[Vec]:
+def minimal_points(bounds: Vec, floor: Callable[[Vec, int], int]) -> list[Vec]:
     """Minimal points, ascending lex, of an up-closed set S restricted to
     the box 0 <= a <= bounds.
 
-    Each column c = (a_1..a_{n-1}), in ascending lex, is climbed until it
-    meets S or its cap, the least of least[c - e_i] over c_i > 0, where an
-    earlier minimal point starts to lie below (Miller-Sturmfels, ch. 3).
-    So ``member`` is asked, in ascending lex order, about exactly the box
-    points no minimal point found so far lies below; such a point of S is
-    minimal, and ``member`` may keep state across calls (cached cuts, say).
+    Each column c = (a_1..a_{n-1}) has a cap, the least of least[c - e_i]
+    over c_i > 0: from that height up an earlier minimal point lies below
+    (the staircase of Miller-Sturmfels, ch. 3).  ``floor(c, cap)`` is
+    called once per column, in ascending lex, and must return the least
+    t < cap with c + (t,) in S, or cap if there is none; c + (t,) is then
+    a minimal point.  The floor sees only points no minimal point found
+    so far lies below, so it may keep state across calls (cached cuts,
+    say) and may jump over heights it knows to lie outside S.
     """
     *cols, top = as_vec(bounds)
     # least[k] is the least member height of the k-th column in product
@@ -123,9 +125,7 @@ def minimal_points(bounds: Vec, member: Callable[[Vec], bool]) -> list[Vec]:
         for c, s in zip(col, strides):
             if c and least[k - s] < cap:
                 cap = least[k - s]
-        t = 0
-        while t < cap and not member(col + (t,)):
-            t += 1
+        t = floor(col, cap)
         least.append(t)
         if t < cap:
             mins.append(col + (t,))

@@ -235,7 +235,7 @@ def _phase1(gens: Sequence[Vec], point: RatVec):
     rows.append(last)
 
     # phase-1 reduced costs for the all-artificial starting basis
-    obj = [-sum(rows[i][j] for i in range(nrows)) for j in range(width)]
+    obj = [-s for s in map(sum, itertools.islice(zip(*rows), width))]
     obj += [0] * (nrows + 1)
     basis = [width + i for i in range(nrows)]
     d = 1
@@ -472,8 +472,15 @@ def integral_closure(
     below it.  Such a point lies in the ideal only if it is one of its
     generators: any generator below it is in the closure and comes
     earlier in the scan, so it would have been found or dominated.  A set
-    lookup therefore replaces the ideal membership test, and the cached
-    cuts come before any LP.
+    lookup therefore replaces the ideal membership test.
+
+    Each column c = (a_1..a_{n-1}) jumps to its floor by the cached cuts
+    before any LP: a cut (num, den) with num_n > 0 lifts the height t to
+    ceil((m*den - num'.c) / num_n), and one with num_n = 0 that c
+    violates closes the column.  The heights jumped over are exactly
+    those a cached cut rejects, so the same LPs run, in the same order,
+    as on a climb one height at a time.  An outside LP adds one cut,
+    which is applied and the column jumps again.
     """
     poly, m = power_of if power_of is not None else (NewtonPolyhedron(ideal), 1)
     if m < 1:
@@ -481,11 +488,26 @@ def integral_closure(
     dim = ideal.dim
     bounds = tuple(max(g[j] for g in ideal.generators) for j in range(dim))
     gens = set(ideal.generators)
+    cuts = poly._cuts
 
-    def inside(a: Vec) -> bool:
-        return a in gens or poly.contains_scaled(a, m)
+    def floor(col: Vec, cap: int) -> int:
+        t, new = 0, cuts
+        while True:
+            # every cut's numerators are >= 0; map stops at the end of col
+            for num, den in new:
+                short = m * den - sum(map(mul, num, col))
+                if num[-1]:
+                    t = max(t, -(-short // num[-1]))
+                elif short > 0:
+                    return cap
+            if t >= cap:
+                return cap
+            a = col + (t,)
+            if a in gens or poly.contains_scaled(a, m):
+                return t
+            new = cuts[-1:]  # the one cut the outside LP added
 
-    return MonomialIdeal.from_antichain(dim, minimal_points(bounds, inside))
+    return MonomialIdeal.from_antichain(dim, minimal_points(bounds, floor))
 
 
 def first_missing_generator(ideal: MonomialIdeal, closure: MonomialIdeal) -> Vec | None:

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from monideal import cli, ilambda, monoid, rees
 from monideal.cli import CSV_HEADER, main, sweep_csv, sweep_row
@@ -186,9 +189,9 @@ def test_sweep_row_scans_and_checks_almost_qn_once(monkeypatch):
     scans, calls = [], {"almost_qn": 0}
     scan, almost_qn = ilambda.minimal_points, monoid.almost_quasinormal
 
-    def recorded_scan(bounds, member):
+    def recorded_scan(bounds, floor):
         scans.append(tuple(bounds))
-        return scan(bounds, member)
+        return scan(bounds, floor)
 
     def counted_almost_qn(*args):
         calls["almost_qn"] += 1
@@ -231,6 +234,20 @@ def test_sweep_deterministic_across_worker_counts(tmp_path):
     one = sweep_csv(3, 4, None, 1)
     three = sweep_csv(3, 4, None, 3)
     assert one == three
+
+
+@pytest.mark.parametrize(
+    "n, max_lambda, digest",
+    [
+        (4, 8, "2cc63b1a91c5429139761f0d7e4f48930c5c9e460f2c3d5ef92432dd78802776"),
+        (5, 5, "363ffc8173a75c2cc1120ab83ac7b1ff64c98cc4197cafa5405070892bcea91d"),
+    ],
+)
+def test_sweep_csv_bytes_in_four_and_five_variables(n, max_lambda, digest):
+    """The sweep CSV bytes are pinned where the normality scan runs at
+    p = 3 and p = 4, which no sweep in three variables reaches."""
+    text = sweep_csv(n, max_lambda, None, 1)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_sweep_workers_capped_at_cpu_count(monkeypatch, capsys):

@@ -20,9 +20,10 @@ from monideal import (
     parse_ideal,
     parse_vector,
 )
-from monideal.ilambda import ilambda_generators
+from monideal.ilambda import column_floor, ilambda_generators
 from monideal.lattice import any_below, minimal_points, split
 from monideal.monoid import apery_set
+from monideal.newton import integral_closure, power
 
 small_vec = st.lists(st.integers(0, 6), min_size=1, max_size=4).map(tuple)
 vec3 = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
@@ -107,8 +108,21 @@ def test_ideal_from_antichain_matches_minimalizing_constructor(points, rng):
     built = MonomialIdeal.from_antichain(3, antichain)
     up = MonomialIdeal(3, points)
     assert built == up
-    scanned = minimal_points((5, 5, 5), up.contains)
+    scanned = minimal_points((5, 5, 5), climb(up.contains))
     assert MonomialIdeal.from_antichain(3, scanned) == up
+
+
+def climb(member):
+    """A ``minimal_points`` floor that climbs the column one height at a
+    time, asking ``member`` at each, up to the cap."""
+
+    def floor(col, cap):
+        t = 0
+        while t < cap and not member(col + (t,)):
+            t += 1
+        return t
+
+    return floor
 
 
 def box_walk(bounds, member):
@@ -140,7 +154,65 @@ def test_minimal_points_asks_what_the_box_walk_asks(data):
 
         return scan(bounds, member), asked
 
-    assert run(minimal_points) == run(box_walk)
+    def staircase(bounds, member):
+        return minimal_points(bounds, climb(member))
+
+    assert run(staircase) == run(box_walk)
+
+
+@given(st.data())
+def test_lambda_column_floor_is_the_climb(data):
+    """The closed-form floor of omega . a >= jL gives, on every column and
+    every cap, the height a climb over ``fits`` stops at; the box is the
+    closed one below lam or the open one, whose bounds may be zero."""
+    n = data.draw(st.integers(1, 5))
+    lam = data.draw(st.lists(st.integers(1, 12 // n + 1), min_size=n, max_size=n))
+    spec = LambdaSpec(lam)
+    shrink = data.draw(st.sampled_from((0, 1)))
+    *cols, top = (v - shrink for v in lam)
+    for j in range(1, n + 1):
+        floor = column_floor(spec, j)
+        reference = climb(lambda a: spec.fits(a, j))
+        for col in itertools.product(*(range(b + 1) for b in cols)):
+            for cap in range(top + 2):
+                assert floor(col, cap) == reference(col, cap), (col, cap, j)
+
+
+class RecordedPolyhedron(NewtonPolyhedron):
+    """A polyhedron that records every point its LP is asked about."""
+
+    __slots__ = ("asked",)
+
+    def __init__(self, ideal):
+        super().__init__(ideal)
+        object.__setattr__(self, "asked", [])
+
+    def contains(self, point):
+        self.asked.append(tuple(point))
+        return super().contains(point)
+
+
+@given(st.data())
+def test_newton_column_floor_runs_the_climbs_lps(data):
+    """The closure scan, whose floor jumps by the cached cuts, returns the
+    generators a climb over ``a in gens or contains_scaled`` finds, runs
+    the LPs it runs in the same order, and leaves the same cuts, power by
+    power on one shared polyhedron as ``is_normal`` does."""
+    dim = data.draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(0, 9 - 2 * dim)] * dim)
+    ideal = MonomialIdeal(dim, data.draw(st.lists(point, min_size=1, max_size=6)))
+    jumping, climbing = RecordedPolyhedron(ideal), RecordedPolyhedron(ideal)
+    for m in range(1, max(2, dim)):
+        pw = power(ideal, m)
+        gens = set(pw.generators)
+        bounds = tuple(map(max, zip(*pw.generators)))
+        reference = minimal_points(
+            bounds, climb(lambda a: a in gens or climbing.contains_scaled(a, m))
+        )
+        closure = integral_closure(pw, power_of=(jumping, m))
+        assert closure == MonomialIdeal.from_antichain(dim, reference)
+        assert jumping.asked == climbing.asked
+        assert jumping._cuts == climbing._cuts
 
 
 def exact(parts):
