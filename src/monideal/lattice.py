@@ -108,11 +108,13 @@ def minimal_points(bounds: Vec, floor: Callable[[Vec, int], int]) -> list[Vec]:
     Each column c = (a_1..a_{n-1}) has a cap, the least of least[c - e_i]
     over c_i > 0: from that height up an earlier minimal point lies below
     (the staircase of Miller-Sturmfels, ch. 3).  ``floor(c, cap)`` is
-    called once per column, in ascending lex, and must return the least
-    t < cap with c + (t,) in S, or cap if there is none; c + (t,) is then
-    a minimal point.  The floor sees only points no minimal point found
-    so far lies below, so it may keep state across calls (cached cuts,
-    say) and may jump over heights it knows to lie outside S.
+    called once per column whose cap is positive, in ascending lex, and
+    must return the least t < cap with c + (t,) in S, or cap if there is
+    none; c + (t,) is then a minimal point.  A column with cap 0 holds no
+    minimal point and gets no call.  The floor sees only points no
+    minimal point found so far lies below, so it may keep state across
+    calls (cached cuts, say) and may jump over heights it knows to lie
+    outside S.
     """
     *cols, top = as_vec(bounds)
     # least[k] is the least member height of the k-th column in product
@@ -125,6 +127,10 @@ def minimal_points(bounds: Vec, floor: Callable[[Vec, int], int]) -> list[Vec]:
         for c, s in zip(col, strides):
             if c and least[k - s] < cap:
                 cap = least[k - s]
+        if not cap:
+            # an earlier minimal point lies below the whole column
+            least.append(0)
+            continue
         t = floor(col, cap)
         least.append(t)
         if t < cap:

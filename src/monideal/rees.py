@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from .ilambda import LambdaSpec, ilambda_generators
 from .lattice import ConsistencyError, Frozen, Vec, dot, require_same_dim, split
@@ -21,25 +22,32 @@ from .monoid import almost_quasinormal
 
 
 class ReesSemigroup(Frozen):
-    """Generators and facet data of the semigroup of one LambdaSpec."""
+    """Generators and facet data of the semigroup of one LambdaSpec.
 
-    __slots__ = ("spec", "ideal", "generators", "sigma", "facet_betas")
+    ``sigmas`` holds the sigma value of each generator, aligned with
+    ``generators``: omega_i for (e_i, 0), omega . beta - L for (beta, 1).
+    ``facet_betas`` are the betas whose value is 0."""
+
+    __slots__ = ("spec", "ideal", "generators", "sigma", "sigmas", "facet_betas")
 
     def __init__(self, spec: LambdaSpec):
         ideal = ilambda_generators(spec)
-        n = spec.n
+        betas = ideal.generators
+        n, omega, L = spec.n, spec.omega, spec.L
         gens: list[Vec] = []
         for i in range(n):
             e = [0] * (n + 1)
             e[i] = 1
             gens.append(tuple(e))
-        for beta in ideal.generators:
+        for beta in betas:
             gens.append(beta + (1,))
+        beta_sigmas = tuple(sum(map(mul, omega, b)) - L for b in betas)
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "generators", tuple(gens))
-        object.__setattr__(self, "sigma", spec.omega + (-spec.L,))
-        facet = tuple(b for b in ideal.generators if spec.omega_dot(b) == spec.L)
+        object.__setattr__(self, "sigma", omega + (-L,))
+        object.__setattr__(self, "sigmas", omega + beta_sigmas)
+        facet = tuple(b for b, s in zip(betas, beta_sigmas) if s == 0)
         object.__setattr__(self, "facet_betas", facet)
 
     def _args(self):
@@ -90,7 +98,7 @@ def height_one_primes(S: ReesSemigroup) -> tuple[MonomialPrime, ...]:
         MonomialPrime(
             label="P_sigma",
             ring_vars=tuple(range(1, n + 1)),
-            t_generators=tuple(b for b in betas if b not in S.facet_betas),
+            t_generators=tuple(b for b, s in zip(betas, S.sigmas[n:]) if s > 0),
         )
     )
     return tuple(primes)
@@ -105,11 +113,7 @@ def r1_satisfied(spec: LambdaSpec) -> tuple[bool, Vec | None]:
     returning either answer.
     """
     S = ReesSemigroup(spec)
-    witness = None
-    for gen in S.generators:
-        if S.sigma_value(gen) == 1:
-            witness = gen
-            break
+    witness = next((g for g, s in zip(S.generators, S.sigmas) if s == 1), None)
     aq = almost_quasinormal(spec)
     if (witness is not None) != aq:
         raise ConsistencyError(
@@ -153,8 +157,8 @@ def express_on_facet(
     # needs a test: it must be a sigma-zero exponent exactly
     parts = ()
     if d_rest:
-        betas = S.facet_betas
-        parts = split(rest, d_rest, betas, lambda v, j: j > 1 or v in betas, {})
+        facet = frozenset(S.facet_betas)
+        parts = split(rest, d_rest, S.facet_betas, lambda v, j: j > 1 or v in facet, {})
     if parts is None:
         return None
     combo: list[tuple[Vec, int]] = []

@@ -250,6 +250,14 @@ def test_sweep_csv_bytes_in_four_and_five_variables(n, max_lambda, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_sweep_csv_bytes_in_three_variables_up_to_twenty():
+    """The sweep CSV bytes are pinned on a three-variable sweep beyond
+    the 3x14 one the benchmark checks: 1540 rows, L up to 6460."""
+    text = sweep_csv(3, 20, None, 1)
+    digest = "459b9fb99ac896b2811dfd38d30c1714687c233742593d84edc341bc1ce139b4"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_sweep_workers_capped_at_cpu_count(monkeypatch, capsys):
     """--workers beyond os.cpu_count() asks for no more processes; an
     in-process stand-in for the pool records what it was asked for."""

@@ -161,6 +161,43 @@ def test_minimal_points_asks_what_the_box_walk_asks(data):
 
 
 @given(st.data())
+def test_minimal_points_skips_capped_out_columns(data):
+    """``floor`` is called on every column whose cap is positive, with
+    that cap, and on no other: the cap of a column is the least height of
+    a minimal point lying below it in an earlier column, or top + 1.  The
+    minimal points are those of the climb and of the box walk."""
+    bounds = data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=5).map(tuple))
+    n = len(bounds)
+    point = st.lists(st.integers(0, 8), min_size=n, max_size=n).map(tuple)
+    gens = data.draw(st.lists(point, max_size=5))
+
+    def member(a):
+        return any_below(gens, a)
+
+    calls = []
+    reference = climb(member)
+
+    def floor(col, cap):
+        calls.append((col, cap))
+        return reference(col, cap)
+
+    mins = minimal_points(bounds, floor)
+    assert mins == minimal_points(bounds, climb(member)) == box_walk(bounds, member)
+    *cols, top = bounds
+    expected = []
+    for col in itertools.product(*(range(b + 1) for b in cols)):
+        below = [
+            q[-1]
+            for q in mins
+            if q[:-1] != col and all(x <= y for x, y in zip(q, col))
+        ]
+        cap = min(below, default=top + 1)
+        if cap:
+            expected.append((col, cap))
+    assert calls == expected
+
+
+@given(st.data())
 def test_lambda_column_floor_is_the_climb(data):
     """The closed-form floor of omega . a >= jL gives, on every column and
     every cap, the height a climb over ``fits`` stops at; the box is the

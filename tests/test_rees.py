@@ -2,6 +2,7 @@ import itertools
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from monideal import (
     ConsistencyError,
@@ -91,6 +92,38 @@ def test_r1_witness_has_sigma_value_one():
         ok, witness = r1_satisfied(spec)
         if ok:
             assert ReesSemigroup(spec).sigma_value(witness) == 1, lam
+
+
+def sigma_scan_witness(S):
+    """The sigma-one scan as it read before the values were stored: the
+    first generator, in generator order, whose sigma_value is 1."""
+    for gen in S.generators:
+        if S.sigma_value(gen) == 1:
+            return gen
+    return None
+
+
+lam_tuples = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.integers(1, 24 // n + 1), min_size=n, max_size=n)
+)
+
+
+@given(lam_tuples)
+def test_stored_sigmas_match_sigma_value(lam):
+    """The sigma values stored per generator are the ones sigma_value
+    computes, and the facet, the P_sigma generators and the r1 witness
+    read from them are what the omega.beta route gives."""
+    spec = LambdaSpec(lam)
+    S = ReesSemigroup(spec)
+    assert S.sigmas == tuple(S.sigma_value(g) for g in S.generators)
+    betas = S.ideal.generators
+    assert S.facet_betas == tuple(b for b in betas if spec.omega_dot(b) == spec.L)
+    primes = {p.label: p for p in height_one_primes(S)}
+    assert primes["P_sigma"].t_generators == tuple(
+        b for b in betas if b not in S.facet_betas
+    )
+    witness = sigma_scan_witness(S)
+    assert r1_satisfied(spec) == (witness is not None, witness)
 
 
 def test_r1_equals_almost_quasinormality_everywhere():
