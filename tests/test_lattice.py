@@ -189,7 +189,7 @@ def test_minimal_points_skips_capped_out_columns(data):
         below = [
             q[-1]
             for q in mins
-            if q[:-1] != col and all(x <= y for x, y in zip(q, col))
+            if q[:-1] != col and all(x <= y for x, y in zip(q[:-1], col))
         ]
         cap = min(below, default=top + 1)
         if cap:

@@ -95,8 +95,8 @@ def test_r1_witness_has_sigma_value_one():
 
 
 def sigma_scan_witness(S):
-    """The sigma-one scan as it read before the values were stored: the
-    first generator, in generator order, whose sigma_value is 1."""
+    """The reference sigma-one scan: the first generator, in generator
+    order, whose sigma_value is 1."""
     for gen in S.generators:
         if S.sigma_value(gen) == 1:
             return gen
