@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterable, Iterator
+from operator import and_
 
 Vec = tuple[int, ...]
 
@@ -32,7 +33,7 @@ class ConsistencyError(RuntimeError):
 
 
 def as_vec(coords: Iterable[int]) -> Vec:
-    return tuple(int(c) for c in coords)
+    return tuple(map(int, coords))
 
 
 def require_same_dim(a: tuple, b: tuple) -> None:
@@ -61,23 +62,38 @@ def minimalize(points: Iterable[Vec]) -> tuple[Vec, ...]:
 
     The up-closure of the result equals the up-closure of the input, and
     the result is an antichain.  Empty input gives an empty tuple.
+
+    One ascending-lex scan over the distinct points, with domination
+    decided by bitsets (the maxima problem of Kung, Luccio and Preparata,
+    J. ACM 1975, turned to minima).  Bit k of an int stands for the k-th
+    point.  A point q <=_pr p with q != p comes before p in lex order, so
+    only earlier indices can dominate: the i-th point starts from the mask
+    (1 << i) - 1 of the points before it.  For each coordinate j after
+    the first, below[v] has the bits of the points whose j-th entry is
+    <= v, and ANDing below[p_j] into p's mask leaves the earlier points
+    <= p in every coordinate so far.  The first coordinate needs no
+    bitset, since lex order already puts every earlier point at or below
+    p there.  p is minimal iff its mask ends at zero.
     """
     pts = sorted({as_vec(p) for p in points})
     if pts and any(len(p) != len(pts[0]) for p in pts):
         raise DimensionMismatch("points of mixed dimensions")
-    kept: list[Vec] = []
-    # ascending lex: q <=_pr p and q != p forces q <_lex p, so every
-    # dominator of p (or a minimal point below it) is already in kept.
-    for p in pts:
-        if not any_below(reversed(kept), p):
-            kept.append(p)
-    return tuple(sorted(kept, reverse=True))
+    masks = [(1 << i) - 1 for i in range(len(pts))]
+    for col in list(zip(*pts))[1:]:
+        below: dict[int, int] = {}
+        for i, c in enumerate(col):
+            below[c] = below.get(c, 0) | 1 << i
+        acc = 0
+        for v in sorted(below):
+            acc = below[v] = acc | below[v]
+        masks = list(map(and_, masks, map(below.__getitem__, col)))
+    return tuple(p for p, mask in zip(reversed(pts), reversed(masks)) if not mask)
 
 
 def any_below(points: Iterable[Vec], a: Vec) -> bool:
     """Whether some point of ``points`` is componentwise <= a, i.e. the
     monomial ideal they generate contains x^a.  No dimension check: this
-    is the inner loop of ideal membership and of minimalize."""
+    is the inner loop of ideal membership."""
     for q in points:
         for x, y in zip(q, a):
             if x > y:
@@ -197,6 +213,24 @@ class Frozen:
         return hash(self._args())
 
 
+def _reject(dim: int, generators: list) -> None:
+    """Raise the error that names the first bad generator, in the order
+    the constructor checks them."""
+    gens = [as_vec(g) for g in generators]
+    if not gens:
+        raise ZeroIdeal("a monomial ideal needs at least one generator")
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
+    for g in gens:
+        if len(g) != dim:
+            raise DimensionMismatch(
+                f"generator {g} has dimension {len(g)}, expected {dim}"
+            )
+        if any(c < 0 for c in g):
+            raise ValueError(f"generator exponents must be nonnegative: {g}")
+    raise ConsistencyError(f"the antichain of {gens} failed a check no generator fails")
+
+
 class MonomialIdeal(Frozen):
     """A nonzero monomial ideal in a fixed number of variables.
 
@@ -208,20 +242,21 @@ class MonomialIdeal(Frozen):
     __slots__ = ("dim", "generators")
 
     def __init__(self, dim: int, generators: Iterable[Iterable[int]]):
-        gens = [as_vec(g) for g in generators]
-        if not gens:
-            raise ZeroIdeal("a monomial ideal needs at least one generator")
-        if dim < 1:
-            raise ValueError(f"dimension must be positive, got {dim}")
-        for g in gens:
-            if len(g) != dim:
-                raise DimensionMismatch(
-                    f"generator {g} has dimension {len(g)}, expected {dim}"
-                )
-            if any(c < 0 for c in g):
-                raise ValueError(f"generator exponents must be nonnegative: {g}")
+        # minimalize converts each generator once.  The checks run on its
+        # antichain, which decides them: every input point has a minimal
+        # point below it, so a negative entry anywhere shows in the
+        # antichain.  Only a failure goes back over the input, to name
+        # the first bad generator; tuple() returns a tuple as it is and
+        # lets a one-shot iterator be read that second time.
+        given = [tuple(g) for g in generators]
+        try:
+            gens = minimalize(given)
+        except DimensionMismatch:
+            gens = None
+        if not gens or dim < 1 or len(gens[0]) != dim or min(map(min, gens)) < 0:
+            _reject(dim, given)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "generators", minimalize(gens))
+        object.__setattr__(self, "generators", gens)
 
     @classmethod
     def from_antichain(cls, dim: int, antichain: Iterable[Vec]) -> "MonomialIdeal":

@@ -40,6 +40,7 @@ from fractions import Fraction
 from operator import mul
 from collections.abc import Iterable, Sequence
 
+from . import lattice
 from .lattice import (
     ConsistencyError,
     Frozen,
@@ -439,16 +440,19 @@ def caratheodory_reduce(
 
 def power(ideal: MonomialIdeal, m: int) -> MonomialIdeal:
     """The m-th power: minimalized m-fold sums of generators.  m = 0 gives
-    the unit ideal by convention."""
+    the unit ideal by convention, and m = 1 the ideal itself, whose
+    generators are already minimal."""
     if m < 0:
         raise ValueError(f"power must be nonnegative, got {m}")
     if m == 0:
         return MonomialIdeal(ideal.dim, [(0,) * ideal.dim])
+    if m == 1:
+        return ideal
     sums = {
         tuple(map(sum, zip(*combo)))
         for combo in itertools.combinations_with_replacement(ideal.generators, m)
     }
-    return MonomialIdeal(ideal.dim, sums)
+    return MonomialIdeal.from_antichain(ideal.dim, lattice.minimalize(sums))
 
 
 def integral_closure(

@@ -3,7 +3,7 @@
 import itertools
 import random
 
-from monideal import MonomialIdeal
+from monideal import MonomialIdeal, le_pr
 
 
 def antichains_2d(max_exp):
@@ -33,3 +33,15 @@ def random_ideal_corpus(count, seed, max_dim=3, max_exp=4, max_gens=5):
         }
         out.append(MonomialIdeal(dim, gens))
     return out
+
+
+def pairwise_minimal(points):
+    """Reference minimalization: the points no other point lies below,
+    descending lex."""
+    distinct = set(points)
+    return tuple(
+        sorted(
+            (p for p in distinct if not any(q != p and le_pr(q, p) for q in distinct)),
+            reverse=True,
+        )
+    )

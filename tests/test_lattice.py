@@ -3,7 +3,7 @@ import itertools
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from monideal import (
     DimensionMismatch,
@@ -24,6 +24,8 @@ from monideal.ilambda import column_floor, ilambda_generators
 from monideal.lattice import any_below, minimal_points, split
 from monideal.monoid import apery_set
 from monideal.newton import integral_closure, power
+
+from conftest import pairwise_minimal
 
 small_vec = st.lists(st.integers(0, 6), min_size=1, max_size=4).map(tuple)
 vec3 = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
@@ -76,6 +78,34 @@ def test_minimalize_preserves_up_closure(points):
         before = any(le_pr(p, probe) for p in points)
         after = any(le_pr(p, probe) for p in out)
         assert before == after
+
+
+@st.composite
+def point_lists(draw):
+    """Up to 60 points in 1..5 variables, with repeats; small entries make
+    domination and ties common, large ones make antichains likely."""
+    dim = draw(st.integers(1, 5))
+    entry = st.integers(0, draw(st.sampled_from([3, 50])))
+    points = draw(st.lists(st.tuples(*[entry] * dim), max_size=50))
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=10))
+    return points
+
+
+containers = st.sampled_from([list, set, lambda ps: (p for p in ps)])
+
+
+@given(point_lists(), containers)
+def test_minimalize_matches_pairwise_reference(points, container):
+    assert minimalize(container(points)) == pairwise_minimal(points)
+
+
+@given(point_lists(), containers, st.integers(0, 6))
+def test_minimalize_rejects_mixed_dimensions(points, container, k):
+    dim = len(points[0]) if points else 2
+    assume(k != dim)
+    with pytest.raises(DimensionMismatch):
+        minimalize(container(points + [(0,) * dim, (1,) * k]))
 
 
 def test_ideal_contains_examples():
@@ -304,6 +334,32 @@ def test_ideal_rejects_bad_input():
         MonomialIdeal(0, [()])
     with pytest.raises(DimensionMismatch):
         MonomialIdeal(2, [(1, 0)]).contains((1, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "dim, gens, error, message",
+    [
+        (2, [], ZeroIdeal, "a monomial ideal needs at least one generator"),
+        (0, [(1, 2), (3,)], ValueError, "dimension must be positive, got 0"),
+        (2, [(1, 0), (0, 1, 2), (5,)], DimensionMismatch,
+         "generator (0, 1, 2) has dimension 3, expected 2"),
+        (2, [(0, 1, 2), (0, 0, 0)], DimensionMismatch,
+         "generator (0, 1, 2) has dimension 3, expected 2"),
+        # the first negative generator is named, not the minimal one below it
+        (2, [(2, 2), (1, -1), (0, -1)], ValueError,
+         "generator exponents must be nonnegative: (1, -1)"),
+        (2, [(0, -1), ("3", "4"), (1, 2, 3)], ValueError,
+         "generator exponents must be nonnegative: (0, -1)"),
+        (2, [(1, 0), ("x", 0)], ValueError,
+         "invalid literal for int() with base 10: 'x'"),
+        (2, [iter((0, 1)), iter((1, -1))], ValueError,
+         "generator exponents must be nonnegative: (1, -1)"),
+    ],
+)
+def test_ideal_errors_name_the_first_bad_generator(dim, gens, error, message):
+    with pytest.raises(error) as info:
+        MonomialIdeal(dim, gens)
+    assert str(info.value) == message
 
 
 def test_ideal_is_immutable_and_hashable():

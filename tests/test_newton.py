@@ -13,6 +13,7 @@ from monideal import newton
 from monideal import (
     INSIDE,
     OUTSIDE,
+    LambdaSpec,
     MembershipCertificate,
     MonomialIdeal,
     NewtonPolyhedron,
@@ -21,9 +22,11 @@ from monideal import (
     box_enumerate,
     caratheodory_reduce,
     format_ideal,
+    ilambda_generators,
     integral_closure,
     is_integrally_closed,
     is_normal,
+    is_normal_lambda,
     le_pr,
     parse_ideal,
     power,
@@ -31,7 +34,7 @@ from monideal import (
 from monideal.lattice import dot
 from monideal.oracles import closure_oracle, power_membership
 
-from conftest import random_ideal_corpus
+from conftest import pairwise_minimal, random_ideal_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -438,6 +441,25 @@ def test_power_of_two_generator_ideal_has_binomial_many_generators():
         assert len(power(ideal, m).generators) == m + 1
 
 
+ideals_up_to_4 = st.integers(1, 4).flatmap(
+    lambda dim: st.lists(
+        st.tuples(*[st.integers(0, 5)] * dim), min_size=1, max_size=6
+    ).map(lambda gens: MonomialIdeal(dim, gens))
+)
+
+
+@given(ideals_up_to_4, st.integers(0, 3))
+def test_power_matches_brute_force(ideal, m):
+    """Every m-fold sum of generators (the empty sum at m = 0), filtered
+    pairwise to the ones no other sum lies below."""
+    sums = [
+        tuple(sum(g[j] for g in combo) for j in range(ideal.dim))
+        for combo in itertools.combinations_with_replacement(ideal.generators, m)
+    ]
+    assert power(ideal, m).generators == pairwise_minimal(sums)
+    assert power(ideal, 1) == ideal
+
+
 def test_closure_matches_committed_fixture():
     entries = json.loads((FIXTURES / "closure_examples.json").read_text())
     assert entries, "fixture file is empty; run: monideal seed-fixtures --out tests/fixtures"
@@ -494,6 +516,22 @@ def test_closed_witness_lies_in_closure_but_not_ideal():
     assert witness == (1, 1)
     assert integral_closure(ideal).contains(witness)
     assert not ideal.contains(witness)
+
+
+@pytest.mark.parametrize(
+    "lam, verdict",
+    [
+        ((6, 6, 6, 6), NormalityVerdict(True)),
+        ((3, 3, 3, 3, 3), NormalityVerdict(True)),
+        ((4, 5, 6, 7), NormalityVerdict(False, failing_power=2, witness=(0, 3, 5, 4))),
+    ],
+)
+def test_is_normal_on_large_closures_agrees_with_lambda_route(lam, verdict):
+    """Criterion 05 past the triples: closures with 84, 35 and 61
+    generators, whose powers have hundreds of generators."""
+    spec = LambdaSpec(lam)
+    assert is_normal(ilambda_generators(spec)) == verdict
+    assert is_normal_lambda(spec).normal == verdict.normal
 
 
 def test_normality_powers_route():
