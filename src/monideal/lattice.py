@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterable, Iterator
-from operator import and_
 
 Vec = tuple[int, ...]
 
@@ -74,11 +73,16 @@ def minimalize(points: Iterable[Vec]) -> tuple[Vec, ...]:
     <= p in every coordinate so far.  The first coordinate needs no
     bitset, since lex order already puts every earlier point at or below
     p there.  p is minimal iff its mask ends at zero.
+
+    Time is O(n N^2 / w) for N distinct points in n variables and machine
+    words of w bits.  Memory is the per-value masks, at most N bits for
+    each distinct value of each coordinate: small for exponents in a box,
+    quadratic in N only when a coordinate takes nearly N distinct values.
     """
     pts = sorted({as_vec(p) for p in points})
     if pts and any(len(p) != len(pts[0]) for p in pts):
         raise DimensionMismatch("points of mixed dimensions")
-    masks = [(1 << i) - 1 for i in range(len(pts))]
+    belows = []
     for col in list(zip(*pts))[1:]:
         below: dict[int, int] = {}
         for i, c in enumerate(col):
@@ -86,8 +90,17 @@ def minimalize(points: Iterable[Vec]) -> tuple[Vec, ...]:
         acc = 0
         for v in sorted(below):
             acc = below[v] = acc | below[v]
-        masks = list(map(and_, masks, map(below.__getitem__, col)))
-    return tuple(p for p, mask in zip(reversed(pts), reversed(masks)) if not mask)
+        belows.append(below)
+    kept = []
+    for i, p in enumerate(pts):
+        mask = (1 << i) - 1
+        for below, c in zip(belows, p[1:]):
+            if not mask:
+                break
+            mask &= below[c]
+        if not mask:
+            kept.append(p)
+    return tuple(reversed(kept))
 
 
 def any_below(points: Iterable[Vec], a: Vec) -> bool:
@@ -213,24 +226,6 @@ class Frozen:
         return hash(self._args())
 
 
-def _reject(dim: int, generators: list) -> None:
-    """Raise the error that names the first bad generator, in the order
-    the constructor checks them."""
-    gens = [as_vec(g) for g in generators]
-    if not gens:
-        raise ZeroIdeal("a monomial ideal needs at least one generator")
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    for g in gens:
-        if len(g) != dim:
-            raise DimensionMismatch(
-                f"generator {g} has dimension {len(g)}, expected {dim}"
-            )
-        if any(c < 0 for c in g):
-            raise ValueError(f"generator exponents must be nonnegative: {g}")
-    raise ConsistencyError(f"the antichain of {gens} failed a check no generator fails")
-
-
 class MonomialIdeal(Frozen):
     """A nonzero monomial ideal in a fixed number of variables.
 
@@ -242,21 +237,20 @@ class MonomialIdeal(Frozen):
     __slots__ = ("dim", "generators")
 
     def __init__(self, dim: int, generators: Iterable[Iterable[int]]):
-        # minimalize converts each generator once.  The checks run on its
-        # antichain, which decides them: every input point has a minimal
-        # point below it, so a negative entry anywhere shows in the
-        # antichain.  Only a failure goes back over the input, to name
-        # the first bad generator; tuple() returns a tuple as it is and
-        # lets a one-shot iterator be read that second time.
-        given = [tuple(g) for g in generators]
-        try:
-            gens = minimalize(given)
-        except DimensionMismatch:
-            gens = None
-        if not gens or dim < 1 or len(gens[0]) != dim or min(map(min, gens)) < 0:
-            _reject(dim, given)
+        gens = [as_vec(g) for g in generators]
+        if not gens:
+            raise ZeroIdeal("a monomial ideal needs at least one generator")
+        if dim < 1:
+            raise ValueError(f"dimension must be positive, got {dim}")
+        for g in gens:
+            if len(g) != dim:
+                raise DimensionMismatch(
+                    f"generator {g} has dimension {len(g)}, expected {dim}"
+                )
+            if any(c < 0 for c in g):
+                raise ValueError(f"generator exponents must be nonnegative: {g}")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "generators", minimalize(gens))
 
     @classmethod
     def from_antichain(cls, dim: int, antichain: Iterable[Vec]) -> "MonomialIdeal":

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -106,6 +107,21 @@ def test_minimalize_rejects_mixed_dimensions(points, container, k):
     assume(k != dim)
     with pytest.raises(DimensionMismatch):
         minimalize(container(points + [(0,) * dim, (1,) * k]))
+
+
+def test_minimalize_of_a_large_box_scan_keeps_memory_linear():
+    # the up-set {sum >= 11} cut to the box [0, 11]^4: 19735 points whose
+    # minimal points are the 364 of degree 11.  Masks over all N points at
+    # once would take N^2 / 16 bytes (about 24 MB) on top of the points.
+    points = [p for p in itertools.product(range(12), repeat=4) if sum(p) >= 11]
+    tracemalloc.start()
+    try:
+        result = minimalize(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == tuple(sorted((p for p in points if sum(p) == 11), reverse=True))
+    assert peak < 400 * len(points)
 
 
 def test_ideal_contains_examples():
