@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterable, Iterator
+from operator import le, sub
 
 Vec = tuple[int, ...]
 
@@ -146,24 +147,35 @@ def minimal_points(bounds: Vec, floor: Callable[[Vec, int], int]) -> list[Vec]:
     outside S.
     """
     *cols, top = as_vec(bounds)
+    if not cols:
+        t = floor((), top + 1)
+        return [(t,)] if t <= top else []
     # least[k] is the least member height of the k-th column in product
-    # order; the column c - e_i sits strides[i] positions before c
-    strides = [math.prod(b + 1 for b in cols[i + 1 :]) for i in range(len(cols))]
+    # order.  A row is a run of columns that differ only in their last
+    # coordinate.  For a head coordinate i, the columns c - e_i of a whole
+    # row lie strides[i] places back, as one slice of least
+    *heads, last = cols
+    width = last + 1
+    strides = [math.prod(b + 1 for b in cols[i + 1 :]) for i in range(len(heads))]
+    full = [top + 1] * width
     least: list[int] = []
     mins: list[Vec] = []
-    for k, col in enumerate(itertools.product(*(range(b + 1) for b in cols))):
-        cap = top + 1
-        for c, s in zip(col, strides):
-            if c and least[k - s] < cap:
-                cap = least[k - s]
-        if not cap:
-            # an earlier minimal point lies below the whole column
-            least.append(0)
-            continue
-        t = floor(col, cap)
-        least.append(t)
-        if t < cap:
-            mins.append(col + (t,))
+    for head in itertools.product(*(range(b + 1) for b in heads)):
+        k = len(least)
+        slices = [least[k - s : k - s + width] for c, s in zip(head, strides) if c]
+        # c - e_last is the column just walked, so its height t bounds the cap
+        t = top + 1
+        for x, cap in enumerate(map(min, full, *slices) if slices else full):
+            if t < cap:
+                cap = t
+            if not cap:
+                # an earlier minimal point lies below the rest of the row
+                least += [0] * (width - x)
+                break
+            t = floor(head + (x,), cap)
+            least.append(t)
+            if t < cap:
+                mins.append(head + (x, t))
     return mins
 
 
@@ -174,9 +186,9 @@ def split(
     ``parts`` under which the remainder splits, or return None.
 
     ``fits(v, j)`` must hold for every v that splits into j parts: it
-    prunes the search, and at j == 1 it alone decides the rest.  ``memo``
-    maps (v, j) to the answer; calls with the same parts and fits may
-    share it.
+    prunes the search, and at j == 1 it alone decides the rest, tested
+    inline with no memo entry.  ``memo`` maps (v, j) to the answer of
+    each search; calls with the same parts and fits may share it.
     """
     key = (a, k)
     hit = memo.get(key, memo)
@@ -188,13 +200,13 @@ def split(
             result = (a,)
         else:
             for g in parts:
-                for x, y in zip(g, a):
-                    if x > y:
-                        break
-                else:
-                    rest = split(
-                        tuple(y - x for x, y in zip(g, a)), k - 1, parts, fits, memo
-                    )
+                if all(map(le, g, a)):
+                    v = tuple(map(sub, a, g))
+                    # the last part needs only its test, not a search
+                    if k == 2:
+                        rest = (v,) if fits(v, 1) else None
+                    else:
+                        rest = split(v, k - 1, parts, fits, memo)
                     if rest is not None:
                         result = (g,) + rest
                         break

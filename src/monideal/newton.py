@@ -6,15 +6,18 @@ conv(g_1, .., g_r) + R^n_{>=0}.  A point a lies in it iff the system
 
     sum_k c_k g_k + s = a,   sum_k c_k = 1,   c >= 0,  s >= 0
 
-is feasible, which a phase-1 simplex decides.  It pivots one integer
-tableau whose true entries are its integers over one positive common
-denominator, fraction-free as in Bareiss elimination and lrs, so every
-pivot is exact integer arithmetic; Fractions appear only when the answer
-is read off.  Both answers carry rational certificates that re-verify in
-integers, once their denominators are cleared, with no solver state: a
-feasible tableau yields the convex weights and slack; an infeasible one
-yields, through the dual values of the artificial columns, a functional
-w >= 0 with w.g >= 1 on every generator but w.a < 1.
+is feasible, which a phase-1 simplex decides.  It is a revised simplex:
+it pivots only the basis inverse with the right-hand side, [d B^-1 |
+d B^-1 b], and the duals, all integers over one positive common
+denominator d, fraction-free as in Bareiss elimination and lrs, so every
+pivot is exact integer arithmetic.  A column's reduced cost comes from
+the duals, and only the entering column is formed.  Fractions appear
+only when the answer is read off.  Both answers carry rational
+certificates that re-verify in integers, once their denominators are
+cleared, with no solver state: a feasible basis yields the convex
+weights and slack; an infeasible one yields, through the dual values of
+the artificial columns, a functional w >= 0 with w.g >= 1 on every
+generator but w.a < 1.
 
 Integral closure is the set of lattice points of the polyhedron; its
 minimal generators lie below the componentwise maximum of the input
@@ -183,100 +186,93 @@ class MembershipCertificate:
         raise ValueError(f"malformed certificate: {data!r}")
 
 
-def _pivot(rows, obj, basis, leave, enter, d):
-    """One fraction-free pivot; returns the new common denominator.
-
-    The tableau holds integers whose true values are entry / d.  Row
-    ``leave`` keeps its integers; every other row, the objective row and
-    rows with a zero in the entering column alike, becomes
-    (row * piv - row[enter] * prow) / d, and piv is the new denominator.
-    Each entry is then a minor of the integer start matrix, so the
-    division is exact (Bareiss; integer pivoting as in lrs)."""
-    prow = rows[leave]
-    piv = prow[enter]
-    for i, row in enumerate(rows):
-        if i != leave:
-            f = row[enter]
-            rows[i] = [(v * piv - f * p) // d for v, p in zip(row, prow)]
-    f = obj[enter]
-    obj[:] = [(v * piv - f * p) // d for v, p in zip(obj, prow)]
-    basis[leave] = enter
-    return piv
-
-
 def _phase1(gens: Sequence[Vec], point: RatVec):
     """Decide feasibility of the membership system.
 
     Returns ('inside', weights, slack) with the basic solution, or
     ('outside', w) with the normalized separating functional.
 
-    The tableau is integer with one positive common denominator d, and
-    the right-hand side is scaled by q, the lcm of the point's
-    denominators; pivots act on rows, so that scaling changes no pivot
-    choice.  Bland's rule reads only signs and the ratio test compares by
-    cross-multiplying, so the basis sequence is that of the same simplex
-    over rationals.  Fractions appear only when the answer is read off.
+    A revised simplex (Dantzig and Orchard-Hays 1954) over the columns
+    A_k = (g_k, 1) of the convex weights, e_j of the slacks and e_i of
+    the n + 1 artificials, which form the starting basis B = I.  Only the
+    (n+1) x (n+2) integer matrix [d B^-1 | d B^-1 b] and the scaled duals
+    Y = d c_B B^-1 are pivoted, with one positive common denominator d,
+    fraction-free as in Bareiss elimination and lrs; b is the point
+    scaled by q, the lcm of its denominators.  The reduced cost of a
+    structural column is -Y.A_j / d, so Bland's rule takes the first
+    weight with Y.(g_k, 1) > 0, else the first slack with Y_j > 0, and
+    the entering column is d B^-1 A_j, formed only then.  The ratio test
+    compares by cross-multiplying, so the basis sequence is that of the
+    same simplex over rationals.  Fractions appear only when the answer
+    is read off.
     """
     n = len(point)
     r = len(gens)
     width = r + n  # structural columns: convex weights, then slacks
-    nrows = n + 1
     q = math.lcm(*(x.denominator for x in point))
-
-    rows: list[list[int]] = []
-    for j in range(n):
-        row = [g[j] for g in gens]
-        row += [1 if k == j else 0 for k in range(n)]
-        row += [1 if i == j else 0 for i in range(nrows)]
-        row.append(point[j].numerator * (q // point[j].denominator))
+    rows = []
+    for i, b in enumerate(_scaled(point, q) + [q]):
+        row = [0] * (n + 2)
+        row[i], row[-1] = 1, b
         rows.append(row)
-    last = [1] * r + [0] * n
-    last += [1 if i == n else 0 for i in range(nrows)]
-    last.append(q)
-    rows.append(last)
-
-    # phase-1 reduced costs for the all-artificial starting basis
-    obj = [-s for s in map(sum, itertools.islice(zip(*rows), width))]
-    obj += [0] * (nrows + 1)
-    basis = [width + i for i in range(nrows)]
+    Y = [1] * (n + 1)
+    basis = list(range(width, width + n + 1))  # the artificials
     d = 1
 
     while True:
-        enter = None
-        for j in range(width):  # Bland's rule; artificials never re-enter
-            if obj[j] < 0:
-                enter = j
+        # Bland's rule on the prices f = Y.A_j; artificials never re-enter
+        yn = Y[n]
+        for enter, g in enumerate(gens):
+            f = sum(map(mul, Y, g)) + yn
+            if f > 0:
+                col = [sum(map(mul, row, g)) + row[n] for row in rows]
                 break
-        if enter is None:
-            break
+        else:
+            j = next((j for j in range(n) if Y[j] > 0), None)
+            if j is None:
+                break
+            enter, f = r + j, Y[j]
+            col = [row[j] for row in rows]
         leave = None
-        for i in range(nrows):
-            a = rows[i][enter]
+        for i, a in enumerate(col):
             if a > 0:
                 if leave is None:
                     leave = i
                     continue
                 # b_i / a < b_l / a_l, with both a positive
-                lhs, rhs = rows[i][-1] * rows[leave][enter], rows[leave][-1] * a
+                lhs, rhs = rows[i][-1] * col[leave], rows[leave][-1] * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise ConsistencyError("phase-1 simplex claims an unbounded objective")
-        d = _pivot(rows, obj, basis, leave, enter, d)
+        # every other row becomes (row * piv - c * prow) / d, and Y
+        # likewise with the entering price f.  Each entry is then a minor
+        # of the integer start tableau, so the division is exact (Bareiss)
+        prow = rows[leave]
+        piv = col[leave]
+        for i, c in enumerate(col):
+            if i == leave:
+                continue
+            if c:
+                rows[i] = [(v * piv - c * p) // d for v, p in zip(rows[i], prow)]
+            else:
+                rows[i] = [v * piv // d for v in rows[i]]
+        Y = [(y * piv - f * p) // d for y, p in zip(Y, prow)]
+        basis[leave] = enter
+        d = piv
 
-    residual = sum(rows[i][-1] for i in range(nrows) if basis[i] >= width)
+    residual = sum(row[-1] for row, b in zip(rows, basis) if b >= width)
     if residual == 0:
         x = [_F0] * width
-        for i, b in enumerate(basis):
+        for row, b in zip(rows, basis):
             if b < width:
-                x[b] = Fraction(rows[i][-1], d * q)
+                x[b] = Fraction(row[-1], d * q)
         return INSIDE, tuple(x[:r]), tuple(x[r:])
 
-    # infeasible: the duals of the artificial columns are y_i = Y_i / d
-    # with Y_i = d - obj[width + i].  The functional w = -y_j / y_n,
-    # normalized to min w.g = 1, is u / min(u.g) for u = -Y[:n], since
-    # the positive factor d * y_n cancels; min w.g < 1 iff min u.g < Y_n.
-    Y = [d - obj[width + i] for i in range(nrows)]
+    # infeasible: the duals of the artificial columns are y_i = Y_i / d.
+    # The functional w = -y_j / y_n, normalized to min w.g = 1, is
+    # u / min(u.g) for u = -Y[:n], since the positive factor d * y_n
+    # cancels; min w.g < 1 iff min u.g < Y_n.
     if Y[n] <= 0 or any(Y[j] > 0 for j in range(n)):
         raise ConsistencyError("phase-1 dual has the wrong sign pattern")
     u = [-Y[j] for j in range(n)]

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import pickle
 import tracemalloc
 
@@ -243,6 +244,54 @@ def test_minimal_points_skips_capped_out_columns(data):
     assert calls == expected
 
 
+def column_walk(bounds, floor):
+    """The column-at-a-time ``minimal_points`` that the row walk replaced,
+    kept here as its reference: each column's cap is a loop over the
+    columns one step below it."""
+    *cols, top = bounds
+    strides = [math.prod(b + 1 for b in cols[i + 1 :]) for i in range(len(cols))]
+    least, mins = [], []
+    for k, col in enumerate(itertools.product(*(range(b + 1) for b in cols))):
+        cap = top + 1
+        for c, s in zip(col, strides):
+            if c and least[k - s] < cap:
+                cap = least[k - s]
+        if not cap:
+            least.append(0)
+            continue
+        t = floor(col, cap)
+        least.append(t)
+        if t < cap:
+            mins.append(col + (t,))
+    return mins
+
+
+@given(st.data())
+def test_row_walk_makes_the_column_walks_floor_calls(data):
+    """``minimal_points`` makes the column walk's floor calls: the same
+    columns with the same caps, in the same order, answered with the same
+    heights, and it returns the same points.  Random up-closed sets in 1
+    to 5 variables, in boxes whose bounds may be zero."""
+    bound = st.integers(0, 6) | st.just(0)
+    bounds = data.draw(st.lists(bound, min_size=1, max_size=5).map(tuple))
+    # generators mostly in the box, sometimes just past it
+    point = st.tuples(*(st.integers(0, b + 1) for b in bounds))
+    gens = data.draw(st.lists(point, max_size=6))
+    reference = climb(lambda a: any_below(gens, a))
+
+    def run(scan):
+        log = []
+
+        def floor(col, cap):
+            t = reference(col, cap)
+            log.append((col, cap, t))
+            return t
+
+        return scan(bounds, floor), log
+
+    assert run(minimal_points) == run(column_walk)
+
+
 @given(st.data())
 def test_lambda_column_floor_is_the_climb(data):
     """The closed-form floor of omega . a >= jL gives, on every column and
@@ -335,6 +384,57 @@ def test_split_examples():
     assert split((2, 1), 2, parts, exact(parts), {}) == ((2, 0), (0, 1))
     # fits prunes: nothing past a false fits(a, k) is searched
     assert split((2, 2), 2, parts, lambda v, j: False, {}) is None
+
+
+def recursive_split(a, k, parts, fits, memo):
+    """The split search that recursed down to a one-part split, kept here
+    as the reference of ``split``'s inline last-part test."""
+    key = (a, k)
+    if key in memo:
+        return memo[key]
+    result = None
+    if fits(a, k):
+        if k == 1:
+            result = (a,)
+        else:
+            for g in parts:
+                if all(x <= y for x, y in zip(g, a)):
+                    v = tuple(y - x for x, y in zip(g, a))
+                    rest = recursive_split(v, k - 1, parts, fits, memo)
+                    if rest is not None:
+                        result = (g,) + rest
+                        break
+    memo[key] = result
+    return result
+
+
+@given(st.data())
+def test_split_matches_recursive_reference(data):
+    """At k = 2 and 3, ``split`` finds the reference's first-fit split,
+    or none, with the lambda route's ``fits`` over the closure generators
+    and with the rees route's exact ``fits`` over the facet betas.  The
+    points share one memo, as in ``is_normal_lambda``, and every memo
+    entry agrees with the reference's."""
+    lam = data.draw(st.lists(st.integers(1, 7), min_size=2, max_size=4))
+    spec = LambdaSpec(lam)
+    if data.draw(st.sampled_from(("lambda", "rees"))) == "lambda":
+        parts, fits = ilambda_generators(spec).generators, spec.fits
+    else:
+        S = ReesSemigroup(spec)
+        facet = frozenset(S.facet_betas)
+        parts, fits = S.facet_betas, lambda v, j: j > 1 or v in facet
+    k = data.draw(st.sampled_from((2, 3)))
+    memo, reference = {}, {}
+    for _ in range(data.draw(st.integers(1, 6))):
+        # a sum of k parts, sometimes moved up one, or a point of the box
+        if data.draw(st.booleans()):
+            picks = data.draw(st.lists(st.sampled_from(parts), min_size=k, max_size=k))
+            shift = data.draw(st.sampled_from([0] + [1 << i for i in range(len(lam))]))
+            a = tuple(sum(c) + (shift >> i & 1) for i, c in enumerate(zip(*picks)))
+        else:
+            a = tuple(data.draw(st.integers(0, k * x)) for x in lam)
+        assert split(a, k, parts, fits, memo) == recursive_split(a, k, parts, fits, reference)
+    assert all(reference[key] == found for key, found in memo.items())
 
 
 def test_ideal_rejects_bad_input():

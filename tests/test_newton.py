@@ -31,7 +31,7 @@ from monideal import (
     parse_ideal,
     power,
 )
-from monideal.lattice import dot
+from monideal.lattice import ConsistencyError, dot
 from monideal.oracles import closure_oracle, power_membership
 
 from conftest import pairwise_minimal, random_ideal_corpus
@@ -375,9 +375,9 @@ def test_inside_certificate_support_is_affinely_independent(data):
 
 def test_certificates_match_pinned_fixture():
     """210 queries whose certificates were written by the simplex over a
-    Fraction tableau that the integer tableau replaced: generator points,
+    Fraction tableau that the integer simplex replaced: generator points,
     facet points where the ratio test ties, the zero point, exponents up
-    to 10**6 and point denominators up to 10**6.  The integer tableau
+    to 10**6 and point denominators up to 10**6.  The integer simplex
     takes the same pivots, so every certificate must match byte for
     byte."""
     entries = json.loads((FIXTURES / "lp_certificates.json").read_text())
@@ -391,7 +391,7 @@ def test_certificates_match_pinned_fixture():
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_integer_tableau_certificates_verify(data):
-    """Certificates from the integer tableau re-verify, in integers once
+    """Certificates from the integer simplex re-verify, in integers once
     their denominators are cleared, on points near the boundary, with
     exponents and point denominators up to 10**6; no ConsistencyError is
     raised.  On small integer points an inside verdict is forced whenever
@@ -424,6 +424,122 @@ def test_integer_tableau_certificates_verify(data):
     event(cert.verdict)
     assert cert.point == point
     assert cert.verify(poly)
+
+
+def tableau_pivot(rows, obj, basis, leave, enter, d):
+    """One fraction-free pivot of the full tableau; returns the new common
+    denominator.  Every row but ``leave``, and the objective row, becomes
+    (row * piv - row[enter] * prow) / d."""
+    prow = rows[leave]
+    piv = prow[enter]
+    for i, row in enumerate(rows):
+        if i != leave:
+            f = row[enter]
+            rows[i] = [(v * piv - f * p) // d for v, p in zip(row, prow)]
+    f = obj[enter]
+    obj[:] = [(v * piv - f * p) // d for v, p in zip(obj, prow)]
+    basis[leave] = enter
+    return piv
+
+
+def tableau_phase1(gens, point):
+    """The phase-1 simplex over the full integer tableau, with columns for
+    the weights, slacks and artificials and an objective row, that the
+    revised simplex in ``newton._phase1`` replaced, kept here as its
+    reference.  Same return values."""
+    n = len(point)
+    r = len(gens)
+    width = r + n
+    nrows = n + 1
+    q = math.lcm(*(x.denominator for x in point))
+
+    rows = []
+    for j in range(n):
+        row = [g[j] for g in gens]
+        row += [1 if k == j else 0 for k in range(n)]
+        row += [1 if i == j else 0 for i in range(nrows)]
+        row.append(point[j].numerator * (q // point[j].denominator))
+        rows.append(row)
+    last = [1] * r + [0] * n
+    last += [1 if i == n else 0 for i in range(nrows)]
+    last.append(q)
+    rows.append(last)
+
+    obj = [-s for s in map(sum, itertools.islice(zip(*rows), width))]
+    obj += [0] * (nrows + 1)
+    basis = [width + i for i in range(nrows)]
+    d = 1
+
+    while True:
+        enter = next((j for j in range(width) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        for i in range(nrows):
+            a = rows[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs, rhs = rows[i][-1] * rows[leave][enter], rows[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
+        if leave is None:
+            raise ConsistencyError("phase-1 simplex claims an unbounded objective")
+        d = tableau_pivot(rows, obj, basis, leave, enter, d)
+
+    residual = sum(rows[i][-1] for i in range(nrows) if basis[i] >= width)
+    if residual == 0:
+        x = [Fraction(0)] * width
+        for i, b in enumerate(basis):
+            if b < width:
+                x[b] = Fraction(rows[i][-1], d * q)
+        return INSIDE, tuple(x[:r]), tuple(x[r:])
+
+    Y = [d - obj[width + i] for i in range(nrows)]
+    if Y[n] <= 0 or any(Y[j] > 0 for j in range(n)):
+        raise ConsistencyError("phase-1 dual has the wrong sign pattern")
+    u = [-Y[j] for j in range(n)]
+    m = min(sum(uj * gj for uj, gj in zip(u, g)) for g in gens)
+    if m < Y[n]:
+        raise ConsistencyError("separating functional fails on a generator")
+    return OUTSIDE, tuple(Fraction(uj, m) for uj in u), None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_revised_simplex_matches_tableau_reference(data):
+    """The revised simplex takes the full tableau's pivots, so it returns
+    exactly the reference's verdict and weights, slack or functional: on
+    generator points, on facet points (convex combinations of
+    generators, where the ratio test ties), on the zero point, on those
+    scaled, and on random points, with exponents and point denominators
+    up to 10**6 in 1 to 5 variables."""
+    dim = data.draw(st.integers(1, 5))
+    top = data.draw(st.sampled_from((6, 10**6)))
+    vec = st.lists(st.integers(0, top), min_size=dim, max_size=dim).map(tuple)
+    gens = MonomialIdeal(dim, data.draw(st.lists(vec, min_size=1, max_size=7))).generators
+    big = st.integers(1, 10**6)
+    kind = data.draw(st.sampled_from(("scaled", "random", "facet", "generator", "zero")))
+    if kind == "generator":
+        point = data.draw(st.sampled_from(gens))
+    elif kind == "zero":
+        point = (0,) * dim
+    elif kind == "random":
+        point = [Fraction(data.draw(st.integers(0, 2 * top)), data.draw(big)) for _ in gens[0]]
+    else:
+        raw = [data.draw(st.integers(0, 3)) for _ in gens]
+        if not any(raw):
+            raw[0] = 1
+        point = [sum(Fraction(w, sum(raw)) * g[j] for w, g in zip(raw, gens)) for j in range(dim)]
+        if kind == "scaled":
+            den = data.draw(big)
+            s = Fraction(data.draw(st.integers(3 * den // 4, 3 * den // 2)), den)
+            point = [s * x for x in point]
+    point = newton.as_rational_point(point)
+    expected = tableau_phase1(gens, point)
+    event(f"{kind} {expected[0]}")
+    assert newton._phase1(gens, point) == expected
 
 
 def test_power_examples():
