@@ -15,10 +15,8 @@ from .lattice import (
     MonomialIdeal,
     Vec,
     ZeroIdeal,
-    box_enumerate,
     format_ideal,
     format_vector,
-    le_pr,
     minimalize,
     parse_ideal,
     parse_vector,
@@ -45,7 +43,6 @@ from .ilambda import (
     congruence_reduce,
     decompose,
     ilambda_generators,
-    in_gamma,
     is_normal_lambda,
     j_ideal,
 )
@@ -69,6 +66,7 @@ from .rees import (
     height_one_primes,
     r1_satisfied,
 )
+from .oracles import box_enumerate, in_gamma, le_pr
 
 __version__ = "0.1.0"
 
@@ -78,10 +76,8 @@ __all__ = [
     "MonomialIdeal",
     "Vec",
     "ZeroIdeal",
-    "box_enumerate",
     "format_ideal",
     "format_vector",
-    "le_pr",
     "minimalize",
     "parse_ideal",
     "parse_vector",
@@ -104,7 +100,6 @@ __all__ = [
     "congruence_reduce",
     "decompose",
     "ilambda_generators",
-    "in_gamma",
     "is_normal_lambda",
     "j_ideal",
     "FAILURE",
@@ -123,4 +118,7 @@ __all__ = [
     "grp_facet_check",
     "height_one_primes",
     "r1_satisfied",
+    "box_enumerate",
+    "in_gamma",
+    "le_pr",
 ]

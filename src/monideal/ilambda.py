@@ -24,7 +24,6 @@ from .lattice import (
     MonomialIdeal,
     Vec,
     as_vec,
-    dot,
     minimal_points,
     parse_vector,
     require_same_dim,
@@ -70,9 +69,6 @@ class LambdaSpec(Frozen):
     def n(self) -> int:
         return len(self.lam)
 
-    def omega_dot(self, a: Iterable[int]) -> int:
-        return dot(self.omega, tuple(a))
-
     def fits(self, v: Vec, j: int = 1) -> bool:
         """omega . v >= j * L, true of every v that splits into j closure-set
         parts; j = 1 is membership.  The split search's hot test: no dim or
@@ -92,14 +88,6 @@ def j_ideal(spec: LambdaSpec) -> MonomialIdeal:
         g[i] = v
         gens.append(tuple(g))
     return MonomialIdeal(n, gens)
-
-
-def in_gamma(spec: LambdaSpec, a: Iterable[int]) -> bool:
-    """Membership of a in the closure exponent set: omega . a >= L."""
-    a = as_vec(a)
-    if any(x < 0 for x in a):
-        return False
-    return spec.omega_dot(a) >= spec.L
 
 
 def column_floor(spec: LambdaSpec, j: int):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from operator import le, sub
 
 Vec = tuple[int, ...]
@@ -39,22 +39,6 @@ def as_vec(coords: Iterable[int]) -> Vec:
 def require_same_dim(a: tuple, b: tuple) -> None:
     if len(a) != len(b):
         raise DimensionMismatch(f"dimension mismatch: {len(a)} vs {len(b)}")
-
-
-def le_pr(a: Vec, b: Vec) -> bool:
-    """Componentwise order: a <= b in every coordinate (x^a divides x^b)."""
-    require_same_dim(a, b)
-    return all(x <= y for x, y in zip(a, b))
-
-
-def vec_scale(m: int, a: Vec) -> Vec:
-    return tuple(m * x for x in a)
-
-
-def dot(a, b):
-    """Inner product; works for int and Fraction entries alike."""
-    require_same_dim(a, b)
-    return sum(x * y for x, y in zip(a, b))
 
 
 def minimalize(points: Iterable[Vec]) -> tuple[Vec, ...]:
@@ -115,20 +99,6 @@ def any_below(points: Iterable[Vec], a: Vec) -> bool:
         else:
             return True
     return False
-
-
-def box_enumerate(
-    bounds: Vec, predicate: Callable[[Vec], bool] | None = None
-) -> Iterator[Vec]:
-    """Stream the integer points 0 <= a <= bounds in ascending
-    lexicographic order, optionally filtered.  The order is part of the
-    contract: witness selection downstream relies on it."""
-    bounds = as_vec(bounds)
-    if any(b < 0 for b in bounds):
-        raise ValueError(f"box bounds must be nonnegative, got {bounds}")
-    for point in itertools.product(*(range(b + 1) for b in bounds)):
-        if predicate is None or predicate(point):
-            yield point
 
 
 def minimal_points(bounds: Vec, floor: Callable[[Vec, int], int]) -> list[Vec]:
@@ -318,9 +288,4 @@ def parse_ideal(text: str) -> MonomialIdeal:
     if not chunks:
         raise ZeroIdeal(f"no generators in {text!r}")
     gens = [parse_vector(c) for c in chunks]
-    dims = {len(g) for g in gens}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"generators of mixed dimensions in {text!r}")
-    if any(c < 0 for g in gens for c in g):
-        raise ValueError(f"ideal exponents must be nonnegative: {text!r}")
-    return MonomialIdeal(dims.pop(), gens)
+    return MonomialIdeal(len(gens[0]), gens)

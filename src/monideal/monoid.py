@@ -34,7 +34,10 @@ def membership_table(generators: Sequence[int], bound: int) -> list[bool]:
 
     The brute-force reference: a table as long as the bound, filled
     coin by coin.  The production routes use the Apery set instead; this
-    one serves the oracles and the tests that cross-check them."""
+    one serves the oracles and the tests that cross-check them.  It is
+    the one brute-force helper outside ``oracles``: the benchmark traces
+    it as ``monideal.monoid.membership_table``, so it stays here until
+    that span target moves."""
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
     gens = sorted({int(g) for g in generators if g > 0})

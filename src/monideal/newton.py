@@ -77,10 +77,6 @@ def _scaled(xs: Iterable, q: int) -> list[int]:
     return [x.numerator * (q // x.denominator) for x in xs]
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)  # Fraction prints "3" or "1/2", and Fraction() parses both
-
-
 def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -160,16 +156,16 @@ class MembershipCertificate:
         return False
 
     def to_json_dict(self) -> dict:
+        """The certificate as JSON, each rational written by ``str``:
+        Fraction prints "3" or "1/2", and ``Fraction()`` parses both."""
         if self.verdict == INSIDE:
             return {
                 "verdict": INSIDE,
-                "weights": [
-                    [format_vector(g), format_rational(wt)] for g, wt in self.terms
-                ],
-                "slack": ",".join(format_rational(s) for s in self.slack),
+                "weights": [[format_vector(g), str(wt)] for g, wt in self.terms],
+                "slack": ",".join(map(str, self.slack)),
                 "denominator": self.denominator,
             }
-        return {"verdict": OUTSIDE, "w": [format_rational(x) for x in self.w]}
+        return {"verdict": OUTSIDE, "w": [str(x) for x in self.w]}
 
     @classmethod
     def from_json_dict(cls, data: dict, point: Iterable = ()) -> "MembershipCertificate":

@@ -9,14 +9,68 @@ quasinormality via the literal parts-maximization table over a
 brute-force membership table instead of the Apery set and the excess
 gap levels.
 The fixture seeder records these outputs so the test suite can pin them.
+
+This module is the one home of the brute-force layer, and no production
+module imports it.  Its helpers: the componentwise order ``le_pr``,
+``vec_scale`` and ``dot`` on vectors, the ascending-lex box walk
+``box_enumerate``, and on the pure-power route ``omega_dot`` and the
+membership test ``in_gamma``.  The one exception is
+``monoid.membership_table``: the benchmark traces it by that module
+path, so it stays in ``monoid`` until the benchmark's span target moves.
 """
 
 from __future__ import annotations
 
-from .ilambda import LambdaSpec, in_gamma
-from .lattice import MonomialIdeal, Vec, as_vec, box_enumerate, vec_scale
+import itertools
+from collections.abc import Callable, Iterable, Iterator
+
+from .ilambda import LambdaSpec
+from .lattice import MonomialIdeal, Vec, as_vec, require_same_dim
 from .monoid import membership_table
 from .newton import power
+
+
+def le_pr(a: Vec, b: Vec) -> bool:
+    """Componentwise order: a <= b in every coordinate (x^a divides x^b)."""
+    require_same_dim(a, b)
+    return all(x <= y for x, y in zip(a, b))
+
+
+def vec_scale(m: int, a: Vec) -> Vec:
+    return tuple(m * x for x in a)
+
+
+def dot(a, b):
+    """Inner product; works for int and Fraction entries alike."""
+    require_same_dim(a, b)
+    return sum(x * y for x, y in zip(a, b))
+
+
+def box_enumerate(
+    bounds: Vec, predicate: Callable[[Vec], bool] | None = None
+) -> Iterator[Vec]:
+    """Stream the integer points 0 <= a <= bounds in ascending
+    lexicographic order, optionally filtered.  The order is part of the
+    contract: witness selection downstream relies on it."""
+    bounds = as_vec(bounds)
+    if any(b < 0 for b in bounds):
+        raise ValueError(f"box bounds must be nonnegative, got {bounds}")
+    for point in itertools.product(*(range(b + 1) for b in bounds)):
+        if predicate is None or predicate(point):
+            yield point
+
+
+def omega_dot(spec: LambdaSpec, a: Iterable[int]) -> int:
+    """omega . a, with a dimension check; a may be any iterable."""
+    return dot(spec.omega, tuple(a))
+
+
+def in_gamma(spec: LambdaSpec, a: Iterable[int]) -> bool:
+    """Membership of a in the closure exponent set: omega . a >= L."""
+    a = as_vec(a)
+    if any(x < 0 for x in a):
+        return False
+    return omega_dot(spec, a) >= spec.L
 
 
 def power_membership(ideal: MonomialIdeal, a, max_power: int = 8) -> int | None:
@@ -74,7 +128,7 @@ def normality_oracle(spec: LambdaSpec) -> tuple[int, Vec] | None:
     box = tuple(v - 1 for v in spec.lam)
     for p in range(1, spec.n):
         for a in box_enumerate(box):
-            if spec.omega_dot(a) >= p * spec.L and not split_oracle(spec, a, p):
+            if omega_dot(spec, a) >= p * spec.L and not split_oracle(spec, a, p):
                 return p, a
     return None
 

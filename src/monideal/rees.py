@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .ilambda import LambdaSpec, ilambda_generators
-from .lattice import ConsistencyError, Frozen, Vec, dot, require_same_dim, split
+from .lattice import ConsistencyError, Frozen, Vec, require_same_dim, split
 from .monoid import almost_quasinormal
 
 
@@ -54,7 +54,9 @@ class ReesSemigroup(Frozen):
         return (self.spec,)
 
     def sigma_value(self, point) -> int:
-        return dot(tuple(int(x) for x in point), self.sigma)
+        point = tuple(int(x) for x in point)
+        require_same_dim(point, self.sigma)
+        return sum(map(mul, point, self.sigma))
 
     def __repr__(self):
         return f"ReesSemigroup({self.spec!r})"

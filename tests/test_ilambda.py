@@ -21,7 +21,7 @@ from monideal import (
     j_ideal,
     parse_ideal,
 )
-from monideal.oracles import normality_oracle, split_oracle
+from monideal.oracles import normality_oracle, omega_dot, split_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -33,7 +33,7 @@ def test_derived_data_examples():
     assert LambdaSpec((4, 6)).omega == (3, 2)
     assert LambdaSpec((5,)).omega == (1,)
     assert LambdaSpec.parse("2,3,7").lam == (2, 3, 7)
-    assert spec.omega_dot(iter((1, 2, 6))) == spec.omega_dot((1, 2, 6)) == 85
+    assert omega_dot(spec, iter((1, 2, 6))) == omega_dot(spec, (1, 2, 6)) == 85
 
 
 def test_spec_validation():

@@ -525,10 +525,13 @@ def test_ideal_parse_and_format_round_trip():
     assert format_ideal(parse_ideal("2,1;2,0")) == "2,0"
     with pytest.raises(ZeroIdeal):
         parse_ideal(" ; ")
-    with pytest.raises(DimensionMismatch):
-        parse_ideal("1,0;1,0,0")
-    with pytest.raises(ValueError):
-        parse_ideal("1,-2")
+    # the constructor's checks, on any generator, not only the first
+    for text in ("1,0;1,0,0", "1,0;1,2,3"):
+        with pytest.raises(DimensionMismatch):
+            parse_ideal(text)
+    for text in ("1,-2", "1,0;-1,2"):
+        with pytest.raises(ValueError, match="nonnegative"):
+            parse_ideal(text)
 
 
 @given(small_vec)

@@ -31,8 +31,8 @@ from monideal import (
     parse_ideal,
     power,
 )
-from monideal.lattice import ConsistencyError, dot
-from monideal.oracles import closure_oracle, power_membership
+from monideal.lattice import ConsistencyError
+from monideal.oracles import closure_oracle, dot, power_membership
 
 from conftest import pairwise_minimal, random_ideal_corpus
 
