@@ -101,6 +101,9 @@ def cmd_power_closure(args) -> dict:
 
 
 def cmd_normal(args) -> dict:
+    if args.force_enumeration and args.lam is None:
+        raise ValueError("--force-enumeration needs --lambda; "
+                         "the --gens route has no fast paths to skip")
     if args.lam is not None:
         spec = LambdaSpec.parse(args.lam)
         verdict = is_normal_lambda(spec, force_enumeration=args.force_enumeration)
@@ -237,13 +240,15 @@ def canonical_lambdas(n: int, max_lambda: int):
 
 def sweep_csv(n: int, max_lambda: int, bound: int | None, workers: int) -> str:
     """The sweep CSV.  At most os.cpu_count() worker processes run: rows
-    are pure computation, so more would only share the same cores."""
+    are pure computation, so more would only share the same cores.  Rows
+    go to the workers 16 at a time: a small row takes a fraction of a
+    millisecond, less than one round trip to a worker."""
     rows = canonical_lambdas(n, max_lambda)
     workers = min(workers, os.cpu_count() or 1)
     job = partial(sweep_row, bound=bound)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, rows))  # map preserves input order
+            results = list(pool.map(job, rows, chunksize=16))  # in input order
     else:
         results = [job(lam) for lam in rows]
     sio = io.StringIO()
@@ -338,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--gens", default=None)
     group.add_argument("--lambda", dest="lam", default=None, help='e.g. "2,3,7"')
     p.add_argument("--force-enumeration", action="store_true",
-                   help="skip the fast paths on the lambda route")
+                   help="skip the fast paths (needs --lambda)")
     _leaf(p, cmd_normal)
 
     p = commands.add_parser("ilambda-gens",

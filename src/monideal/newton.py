@@ -281,9 +281,10 @@ def _phase1(gens: Sequence[Vec], point: RatVec):
 class NewtonPolyhedron(Frozen):
     """Membership oracle for conv(generators) + R^n_{>=0} of one ideal.
 
-    ``_cuts`` caches the outside functionals found by ``contains_scaled``
-    as (numerators, denominator) pairs; it only ever grows, and pickling
-    or copying starts it afresh.
+    ``_cuts`` caches the outside functionals that the closure scan of
+    ``integral_closure`` learns, as (numerators, denominator) pairs.  Only
+    that scan reads it or appends to it, and pickling or copying starts
+    it afresh.
     """
 
     __slots__ = ("ideal", "_cuts")
@@ -316,22 +317,6 @@ class NewtonPolyhedron(Frozen):
         if not cert.verify(self):
             raise ConsistencyError(f"certificate failed re-verification: {cert}")
         return cert
-
-    def contains_scaled(self, a: Vec, m: int) -> bool:
-        """Whether a/m lies in the polyhedron, i.e. whether the lattice
-        point a lies in m.NP(I) = NP(I^m).  The cached cuts are tried
-        first; only when none separates does an LP run, through
-        ``contains`` with its re-verified certificate, and an outside
-        verdict adds its functional to the cache."""
-        for num, den in self._cuts:
-            if sum(map(mul, num, a)) < m * den:
-                return False
-        cert = self.contains(tuple(Fraction(x, m) for x in a))
-        if cert.verdict == INSIDE:
-            return True
-        den = math.lcm(*(x.denominator for x in cert.w))
-        self._cuts.append((tuple(_scaled(cert.w, den)), den))
-        return False
 
 
 def _affine_dependence(points: Sequence[RatVec]) -> list[Fraction] | None:
@@ -475,8 +460,10 @@ def integral_closure(
     ceil((m*den - num'.c) / num_n), and one with num_n = 0 that c
     violates closes the column.  The heights jumped over are exactly
     those a cached cut rejects, so the same LPs run, in the same order,
-    as on a climb one height at a time.  An outside LP adds one cut,
-    which is applied and the column jumps again.
+    as on a climb one height at a time.  The LP runs at a/m through
+    ``P.contains``, which re-verifies its certificate; an outside verdict
+    adds its functional, scaled to integers, as one new cut, and the
+    column jumps again on that cut.
     """
     poly, m = power_of if power_of is not None else (NewtonPolyhedron(ideal), 1)
     if m < 1:
@@ -499,9 +486,14 @@ def integral_closure(
             if t >= cap:
                 return cap
             a = col + (t,)
-            if a in gens or poly.contains_scaled(a, m):
+            if a in gens:
                 return t
-            new = cuts[-1:]  # the one cut the outside LP added
+            cert = poly.contains(tuple(Fraction(x, m) for x in a))
+            if cert.verdict == INSIDE:
+                return t
+            den = math.lcm(*(x.denominator for x in cert.w))
+            new = ((tuple(_scaled(cert.w, den)), den),)
+            cuts.extend(new)
 
     return MonomialIdeal.from_antichain(dim, minimal_points(bounds, floor))
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from monideal import cli, ilambda, monoid, rees
+from monideal import ConsistencyError, cli, ilambda, monoid, rees
 from monideal.cli import CSV_HEADER, main, sweep_csv, sweep_row
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -70,6 +70,12 @@ def test_normal_requires_exactly_one_input_form(capsys):
     assert main(["normal"]) == 2
     assert main(["normal", "--gens", "1,0", "--lambda", "2,3"]) == 2
     capsys.readouterr()
+
+
+def test_force_enumeration_needs_the_lambda_route(capsys):
+    code, out, err = run_cli(capsys, "normal", "--gens", "2,0;0,2", "--force-enumeration")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --force-enumeration needs --lambda")
 
 
 def test_ilambda_gens_command(capsys):
@@ -139,8 +145,23 @@ def test_parse_errors_exit_2(capsys):
     assert main(["closure", "--gens", "1,0;-1,2"]) == 2
     assert main(["reduce", "--lambda", "2,3", "--index", "5"]) == 2
     assert main(["certify", "--gens", "2,0;0,2", "--point", "-1,0"]) == 2
+    assert main(["certify", "--gens", "2,0;0,2", "--point", "1,,2"]) == 2
+    assert main(["certify", "--gens", "2,0;0,2", "--point", "1/0,1"]) == 2
     assert main(["sweep", "--n", "2", "--max-lambda", "3", "--workers", "0"]) == 2
+    assert main(["sweep", "--n", "0", "--max-lambda", "3"]) == 2
     capsys.readouterr()
+
+
+def test_consistency_errors_exit_4(capsys, monkeypatch):
+    """A ConsistencyError from a handler is reported, never resolved."""
+
+    def broken(args):
+        raise ConsistencyError("two routes disagree")
+
+    monkeypatch.setattr(cli, "cmd_closure", broken)
+    code, out, err = run_cli(capsys, "closure", "--gens", "2,0;0,2")
+    assert code == 4 and out == ""
+    assert err == "internal consistency error: two routes disagree\n"
 
 
 def test_unknown_command_exits_2(capsys):
@@ -259,8 +280,9 @@ def test_sweep_csv_bytes_in_three_variables_up_to_twenty():
 
 
 def test_sweep_workers_capped_at_cpu_count(monkeypatch, capsys):
-    """--workers beyond os.cpu_count() asks for no more processes; an
-    in-process stand-in for the pool records what it was asked for."""
+    """--workers beyond os.cpu_count() asks for no more processes, and
+    rows go to the pool 16 at a time; an in-process stand-in for the pool
+    records what it was asked for."""
     pools = []
 
     class InProcessPool:
@@ -273,7 +295,8 @@ def test_sweep_workers_capped_at_cpu_count(monkeypatch, capsys):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, rows):
+        def map(self, fn, rows, chunksize=1):
+            assert chunksize == 16
             return map(fn, rows)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)

@@ -3,6 +3,8 @@ import itertools
 import math
 import pickle
 import tracemalloc
+from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -25,7 +27,7 @@ from monideal import (
 from monideal.ilambda import column_floor, ilambda_generators
 from monideal.lattice import any_below, minimal_points, split
 from monideal.monoid import apery_set
-from monideal.newton import integral_closure, power
+from monideal.newton import INSIDE, integral_closure, power
 
 from conftest import pairwise_minimal
 
@@ -311,7 +313,9 @@ def test_lambda_column_floor_is_the_climb(data):
 
 
 class RecordedPolyhedron(NewtonPolyhedron):
-    """A polyhedron that records every point its LP is asked about."""
+    """A polyhedron that records every point its LP is asked about, and
+    checks that no cached cut rejects that point: the scan asks only
+    after every cut has been applied."""
 
     __slots__ = ("asked",)
 
@@ -320,14 +324,31 @@ class RecordedPolyhedron(NewtonPolyhedron):
         object.__setattr__(self, "asked", [])
 
     def contains(self, point):
-        self.asked.append(tuple(point))
+        point = tuple(point)
+        for num, den in self._cuts:
+            assert sum(map(mul, num, point)) >= den, (point, num, den)
+        self.asked.append(point)
         return super().contains(point)
+
+
+def scaled_member(poly, a, m):
+    """Whether a lies in m.NP(I), decided one point at a time: the cached
+    cuts first, then the LP at a/m, whose outside functional joins the
+    cache scaled to integers, the cut the closure scan learns."""
+    if any(sum(map(mul, num, a)) < m * den for num, den in poly._cuts):
+        return False
+    cert = poly.contains(tuple(Fraction(x, m) for x in a))
+    if cert.verdict == INSIDE:
+        return True
+    den = math.lcm(*(x.denominator for x in cert.w))
+    poly._cuts.append((tuple(x.numerator * (den // x.denominator) for x in cert.w), den))
+    return False
 
 
 @given(st.data())
 def test_newton_column_floor_runs_the_climbs_lps(data):
     """The closure scan, whose floor jumps by the cached cuts, returns the
-    generators a climb over ``a in gens or contains_scaled`` finds, runs
+    generators a climb over ``a in gens or scaled_member`` finds, runs
     the LPs it runs in the same order, and leaves the same cuts, power by
     power on one shared polyhedron as ``is_normal`` does."""
     dim = data.draw(st.integers(1, 4))
@@ -339,7 +360,7 @@ def test_newton_column_floor_runs_the_climbs_lps(data):
         gens = set(pw.generators)
         bounds = tuple(map(max, zip(*pw.generators)))
         reference = minimal_points(
-            bounds, climb(lambda a: a in gens or climbing.contains_scaled(a, m))
+            bounds, climb(lambda a: a in gens or scaled_member(climbing, a, m))
         )
         closure = integral_closure(pw, power_of=(jumping, m))
         assert closure == MonomialIdeal.from_antichain(dim, reference)
@@ -540,8 +561,10 @@ def test_vector_round_trip(v):
 
 
 def _warm_polyhedron():
-    poly = NewtonPolyhedron(MonomialIdeal(2, [(2, 0), (0, 2)]))
-    assert not poly.contains_scaled((1, 0), 1) and poly._cuts
+    ideal = MonomialIdeal(2, [(2, 0), (0, 2)])
+    poly = NewtonPolyhedron(ideal)
+    integral_closure(ideal, power_of=(poly, 1))
+    assert poly._cuts
     return poly
 
 
