@@ -69,11 +69,8 @@ def _bool(b: bool) -> str:
 
 
 def _parse_point(text: str) -> tuple[Fraction, ...]:
-    parts = [p.strip() for p in text.strip().split(",")]
-    if not parts or any(not p for p in parts):
-        raise ValueError(f"malformed point: {text!r}")
     try:
-        return tuple(Fraction(p) for p in parts)
+        return tuple(Fraction(p) for p in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"malformed point: {text!r}") from None
 

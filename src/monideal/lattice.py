@@ -269,11 +269,8 @@ def format_vector(v: Iterable[int]) -> str:
 
 def parse_vector(text: str) -> Vec:
     """Parse "2,0,1" into (2, 0, 1).  Whitespace around entries is fine."""
-    parts = [p.strip() for p in text.strip().split(",")]
-    if not parts or any(not p for p in parts):
-        raise ValueError(f"malformed vector: {text!r}")
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValueError(f"malformed vector: {text!r}") from None
 

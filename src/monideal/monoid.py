@@ -132,11 +132,11 @@ def quasinormal_window(spec: LambdaSpec, bound: int | None = None) -> WindowVerd
     in E for some sum j of at most p - 1 coins, which is one AND of two
     int bitsets per gap per level.  The scan goes p-major, e ascending,
     i.e. in increasing s, and reports the first kept gap with p*L + e in
-    M; a gap drops out once p*L + e passes the bound.  After a level
-    that removes no gap only the membership checks go on, and they end
-    at the conductor, so the cost does not grow with the bound.  A
-    failure refutes quasinormality outright; a clean window only
-    confirms it up to the bound.
+    M; a gap drops out once p*L + e passes the bound.  A gap kept at
+    level p has p*L + e below the conductor, so the last level starts
+    within L of the conductor or the bound, whichever is less: the cost
+    does not grow with the bound.  A failure refutes quasinormality
+    outright; a clean window only confirms it up to the bound.
     """
     L = spec.L
     if bound is None:
@@ -157,7 +157,6 @@ def quasinormal_window(spec: LambdaSpec, bound: int | None = None) -> WindowVerd
     # coins_rev >> (L-1-e) is set iff e - j is in E
     coins_rev = int("".join(flags), 2)
     reach = int("".join(reversed(flags)), 2) | 1  # sums of at most p-1 coins
-    growing = True
     p = 1  # level 1 cannot fail: L + e is not in M for a gap e
     while pending:
         p += 1
@@ -168,7 +167,7 @@ def quasinormal_window(spec: LambdaSpec, bound: int | None = None) -> WindowVerd
             s = base + e
             if s > bound:
                 break  # past the bound at every later level too
-            if growing and (coins_rev >> (L - 1 - e)) & reach:
+            if (coins_rev >> (L - 1 - e)) & reach:
                 split |= 1 << e
             elif s >= ap[s % m]:
                 return WindowVerdict(FAILURE, (s, p), bound)
@@ -176,9 +175,6 @@ def quasinormal_window(spec: LambdaSpec, bound: int | None = None) -> WindowVerd
                 kept.append(e)
         # reach grows only after the whole level, so it stays the sums of
         # at most p-1 coins while the level is read
-        if split:
-            reach |= split
-        else:
-            growing = False  # fixpoint: only the membership checks remain
+        reach |= split
         pending = kept
     return WindowVerdict(QUASINORMAL_ON_WINDOW, None, bound)

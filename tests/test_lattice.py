@@ -534,7 +534,7 @@ def test_vector_parse_and_format():
     assert parse_vector("2,0,1") == (2, 0, 1)
     assert parse_vector(" 2 , 0 ") == (2, 0)
     assert format_vector((2, 0, 1)) == "2,0,1"
-    for bad in ("", "2,,1", "2,x", "2;1"):
+    for bad in ("", "2,,1", "2,x", "2;1", "1,", "1, ,2"):
         with pytest.raises(ValueError):
             parse_vector(bad)
 

@@ -168,16 +168,26 @@ def test_window_failure_witness_is_in_monoid_and_unsplittable():
 
 def test_window_agrees_with_parts_maximization_oracle():
     """The gap levels must give the same verdict and witness as the
-    literal maximization table, which is computed very differently."""
-    for lam in ((2, 3, 7), (2, 3, 5), (3, 4, 5), (2, 2, 3), (5, 3, 2), (2, 5, 7)):
+    literal maximization table, which is computed very differently.
+    On (3,4,7,11), L = 924, the gap 1 survives level 2 (1849 is not in
+    M): at bound 1849 level 3 starts and the window is clean, and at
+    1850 the gap 2 fails."""
+    cases = [
+        (lam, min(default_window_bound(mon(*lam)), 700))
+        for lam in ((2, 3, 7), (2, 3, 5), (3, 4, 5), (2, 2, 3), (5, 3, 2), (2, 5, 7))
+    ]
+    cases += [((3, 4, 7, 11), 1849), ((3, 4, 7, 11), 1850)]
+    for lam, bound in cases:
         m = mon(*lam)
-        bound = min(default_window_bound(m), 700)
         got = quasinormal_window(m, bound)
         expect = window_split_oracle(m, bound)
         if expect is None:
             assert got.status == QUASINORMAL_ON_WINDOW, lam
         else:
             assert got.status == FAILURE and got.witness == expect, lam
+    m = mon(3, 4, 7, 11)
+    assert quasinormal_window(m, 1849).status == QUASINORMAL_ON_WINDOW
+    assert quasinormal_window(m, 1850).witness == (1850, 2)
 
 
 def test_missing_almost_quasinormality_always_surfaces_in_default_window():

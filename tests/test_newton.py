@@ -161,6 +161,27 @@ def test_certificate_verification_rejects_tampering():
         INSIDE, (Fraction(3), Fraction(1)), terms=(((2, 0), 1),), slack=(1, 1), denominator=1
     )
     assert int_weights.verify(poly)
+    wrong_dimension = MembershipCertificate(
+        INSIDE,
+        good.point + (Fraction(0),),
+        terms=good.terms,
+        slack=good.slack + (Fraction(0),),
+        denominator=good.denominator,
+    )
+    assert not wrong_dimension.verify(poly)
+    for missing in ("terms", "slack", "denominator"):
+        assert not dataclasses.replace(good, **{missing: None}).verify(poly)
+    not_a_generator = MembershipCertificate(  # (1,1) satisfies the equation
+        INSIDE,
+        (Fraction(1), Fraction(1)),
+        terms=(((1, 1), Fraction(1)),),
+        slack=(Fraction(0), Fraction(0)),
+        denominator=1,
+    )
+    assert not not_a_generator.verify(poly)
+    for w in (None, out.w[:1], out.w + (Fraction(0),)):
+        assert not dataclasses.replace(out, w=w).verify(poly)
+    assert not dataclasses.replace(good, verdict="unknown").verify(poly)
     for cert in (on_the_hyperplane, negative_slack, short_weights, int_weights):
         assert cert.verify(poly) == fraction_verify(cert, poly)
 
