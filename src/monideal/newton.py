@@ -11,13 +11,15 @@ it pivots only the basis inverse with the right-hand side, [d B^-1 |
 d B^-1 b], and the duals, all integers over one positive common
 denominator d, fraction-free as in Bareiss elimination and lrs, so every
 pivot is exact integer arithmetic.  A column's reduced cost comes from
-the duals, and only the entering column is formed.  Fractions appear
-only when the answer is read off.  Both answers carry rational
-certificates that re-verify in integers, once their denominators are
-cleared, with no solver state: a feasible basis yields the convex
-weights and slack; an infeasible one yields, through the dual values of
-the artificial columns, a functional w >= 0 with w.g >= 1 on every
-generator but w.a < 1.
+the duals, and only the entering column is formed.  The simplex takes
+the point as integers over a common denominator and answers in
+integers; ``NewtonPolyhedron.contains`` builds the Fractions of the
+certificate from them.  Both answers carry rational certificates that
+re-verify in integers, once their denominators are cleared, with no
+solver state: a feasible basis yields the convex weights and slack; an
+infeasible one yields, through the dual values of the artificial
+columns, a functional w >= 0 with w.g >= 1 on every generator but
+w.a < 1.
 
 Integral closure is the set of lattice points of the polyhedron; its
 minimal generators lie below the componentwise maximum of the input
@@ -66,8 +68,8 @@ _F1 = Fraction(1)
 
 def as_rational_point(point: Iterable) -> RatVec:
     """Coerce to a tuple of Fractions; entries must be nonnegative."""
-    p = tuple(Fraction(x) for x in point)
-    if any(x < 0 for x in p):
+    p = tuple(x if type(x) is Fraction else Fraction(x) for x in point)
+    if any(x.numerator < 0 for x in p):
         raise ValueError(f"query points must be nonnegative, got {p}")
     return p
 
@@ -79,7 +81,7 @@ def _scaled(xs: Iterable, q: int) -> list[int]:
 
 def parse_rational(text: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"malformed rational: {text!r}") from None
 
@@ -182,88 +184,93 @@ class MembershipCertificate:
         raise ValueError(f"malformed certificate: {data!r}")
 
 
-def _phase1(gens: Sequence[Vec], point: RatVec):
-    """Decide feasibility of the membership system.
+def _phase1(gens: Sequence[Vec], b: Sequence[int], q: int):
+    """Decide feasibility of the membership system at the point b / q.
 
-    Returns ('inside', weights, slack) with the basic solution, or
-    ('outside', w) with the normalized separating functional.
+    ``b`` holds the point's integer numerators over the common
+    denominator q > 0.  Returns ('inside', x, den) with x the integer
+    basic solution, the weights and then the slacks, over den; or
+    ('outside', u, m) with the normalized separating functional w = u / m.
 
     A revised simplex (Dantzig and Orchard-Hays 1954) over the columns
     A_k = (g_k, 1) of the convex weights, e_j of the slacks and e_i of
     the n + 1 artificials, which form the starting basis B = I.  Only the
-    (n+1) x (n+2) integer matrix [d B^-1 | d B^-1 b] and the scaled duals
-    Y = d c_B B^-1 are pivoted, with one positive common denominator d,
-    fraction-free as in Bareiss elimination and lrs; b is the point
-    scaled by q, the lcm of its denominators.  The reduced cost of a
-    structural column is -Y.A_j / d, so Bland's rule takes the first
-    weight with Y.(g_k, 1) > 0, else the first slack with Y_j > 0, and
-    the entering column is d B^-1 A_j, formed only then.  The ratio test
-    compares by cross-multiplying, so the basis sequence is that of the
-    same simplex over rationals.  Fractions appear only when the answer
-    is read off.
+    (n+1) x (n+2) integer matrix [d B^-1 | d B^-1 (b, q)] and the scaled
+    duals Y = d c_B B^-1 are pivoted, with one positive common
+    denominator d, fraction-free as in Bareiss elimination and lrs.  The
+    reduced cost of a structural column is -Y.A_j / d, so Bland's rule
+    takes the first weight with Y.(g_k, 1) > 0, else the first slack
+    with Y_j > 0, and the entering column is d B^-1 A_j, formed only
+    then.  The ratio test compares by cross-multiplying, so the basis
+    sequence is that of the same simplex over rationals, and scaling b
+    and q by one positive integer leaves it unchanged.  The basic
+    solution is then over den = d q.
     """
-    n = len(point)
+    n = len(b)
     r = len(gens)
     width = r + n  # structural columns: convex weights, then slacks
-    q = math.lcm(*(x.denominator for x in point))
     rows = []
-    for i, b in enumerate(_scaled(point, q) + [q]):
+    for i, bi in enumerate((*b, q)):
         row = [0] * (n + 2)
-        row[i], row[-1] = 1, b
+        row[i], row[-1] = 1, bi
         rows.append(row)
     Y = [1] * (n + 1)
     basis = list(range(width, width + n + 1))  # the artificials
     d = 1
+    # the columns (g_k, 1); a dot product with a row of [d B^-1 | ..]
+    # stops before its right-hand side
+    cols = [(*g, 1) for g in gens]
 
     while True:
         # Bland's rule on the prices f = Y.A_j; artificials never re-enter
-        yn = Y[n]
-        for enter, g in enumerate(gens):
-            f = sum(map(mul, Y, g)) + yn
+        for enter, a in enumerate(cols):
+            f = sum(map(mul, Y, a))
             if f > 0:
-                col = [sum(map(mul, row, g)) + row[n] for row in rows]
+                col = [sum(map(mul, row, a)) for row in rows]
                 break
         else:
-            j = next((j for j in range(n) if Y[j] > 0), None)
-            if j is None:
+            for j in range(n):
+                if Y[j] > 0:
+                    break
+            else:
                 break
             enter, f = r + j, Y[j]
             col = [row[j] for row in rows]
         leave = None
         for i, a in enumerate(col):
             if a > 0:
+                bi = rows[i][-1]
                 if leave is None:
-                    leave = i
+                    leave, bl, piv = i, bi, a
                     continue
-                # b_i / a < b_l / a_l, with both a positive
-                lhs, rhs = rows[i][-1] * col[leave], rows[leave][-1] * a
+                # b_i / a < b_l / piv, with both positive
+                lhs, rhs = bi * piv, bl * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave = i
+                    leave, bl, piv = i, bi, a
         if leave is None:
             raise ConsistencyError("phase-1 simplex claims an unbounded objective")
         # every other row becomes (row * piv - c * prow) / d, and Y
         # likewise with the entering price f.  Each entry is then a minor
         # of the integer start tableau, so the division is exact (Bareiss)
         prow = rows[leave]
-        piv = col[leave]
         for i, c in enumerate(col):
             if i == leave:
                 continue
             if c:
                 rows[i] = [(v * piv - c * p) // d for v, p in zip(rows[i], prow)]
-            else:
+            elif piv != d:
                 rows[i] = [v * piv // d for v in rows[i]]
         Y = [(y * piv - f * p) // d for y, p in zip(Y, prow)]
         basis[leave] = enter
         d = piv
 
-    residual = sum(row[-1] for row, b in zip(rows, basis) if b >= width)
+    residual = sum(row[-1] for row, k in zip(rows, basis) if k >= width)
     if residual == 0:
-        x = [_F0] * width
-        for row, b in zip(rows, basis):
-            if b < width:
-                x[b] = Fraction(row[-1], d * q)
-        return INSIDE, tuple(x[:r]), tuple(x[r:])
+        x = [0] * width
+        for row, k in zip(rows, basis):
+            if k < width:
+                x[k] = row[-1]
+        return INSIDE, x, d * q
 
     # infeasible: the duals of the artificial columns are y_i = Y_i / d.
     # The functional w = -y_j / y_n, normalized to min w.g = 1, is
@@ -272,10 +279,10 @@ def _phase1(gens: Sequence[Vec], point: RatVec):
     if Y[n] <= 0 or any(Y[j] > 0 for j in range(n)):
         raise ConsistencyError("phase-1 dual has the wrong sign pattern")
     u = [-Y[j] for j in range(n)]
-    m = min(sum(uj * gj for uj, gj in zip(u, g)) for g in gens)
+    m = min(sum(map(mul, u, g)) for g in gens)
     if m < Y[n]:
         raise ConsistencyError("separating functional fails on a generator")
-    return OUTSIDE, tuple(Fraction(uj, m) for uj in u), None
+    return OUTSIDE, u, m
 
 
 class NewtonPolyhedron(Frozen):
@@ -302,18 +309,19 @@ class NewtonPolyhedron(Frozen):
         p = as_rational_point(point)
         if len(p) != self.ideal.dim:
             require_same_dim(p, (0,) * self.ideal.dim)
-        verdict, a, b = _phase1(self.ideal.generators, p)
+        gens = self.ideal.generators
+        q = math.lcm(*(x.denominator for x in p))
+        verdict, x, den = _phase1(gens, _scaled(p, q), q)
         if verdict == INSIDE:
-            weights, slack = a, b
-            terms = tuple(
-                (g, wt) for g, wt in zip(self.ideal.generators, weights) if wt > 0
-            )
+            terms = tuple((g, Fraction(xk, den)) for g, xk in zip(gens, x) if xk > 0)
             denom = math.lcm(*(wt.denominator for _, wt in terms))
+            slack = tuple(Fraction(s, den) for s in x[len(gens):])
             cert = MembershipCertificate(
                 INSIDE, p, terms=terms, slack=slack, denominator=denom
             )
         else:
-            cert = MembershipCertificate(OUTSIDE, p, w=a)
+            w = tuple(Fraction(uj, den) for uj in x)
+            cert = MembershipCertificate(OUTSIDE, p, w=w)
         if not cert.verify(self):
             raise ConsistencyError(f"certificate failed re-verification: {cert}")
         return cert

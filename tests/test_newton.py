@@ -83,6 +83,30 @@ def test_membership_rejects_bad_points():
         NewtonPolyhedron(ideal).contains((1, 1, 1))
 
 
+class _SubFraction(Fraction):
+    pass
+
+
+def test_as_rational_point_coerces_to_exact_fractions():
+    """Entries that are exactly Fractions pass through; every other entry,
+    a Fraction subclass included, goes through ``Fraction``."""
+    entries = (2, True, Fraction(3, 4), _SubFraction(5, 6), "1/2", " 3 ", 0.5)
+    for point in (entries, (x for x in entries)):
+        p = newton.as_rational_point(point)
+        assert p == tuple(Fraction(x) for x in entries)
+        assert all(type(x) is Fraction for x in p)
+    for bad in (-1, Fraction(-1, 2), "-1/3"):
+        message = f"query points must be nonnegative, got {(Fraction(1), Fraction(bad))}"
+        with pytest.raises(ValueError) as info:
+            newton.as_rational_point((1, bad))
+        assert str(info.value) == message
+    poly = NewtonPolyhedron(parse_ideal("2,0;0,2"))
+    for ones in (((1, 1), (Fraction(1), Fraction(1)), ("1", "1")),
+                 ((1, 0), (Fraction(1), Fraction(0)), ("1", "0"))):
+        certs = [poly.contains(point) for point in ones]
+        assert certs[0] == certs[1] == certs[2]
+
+
 def test_certificate_json_round_trip():
     ideal = parse_ideal("2,0;0,2")
     for point in ((1, 1), (1, 0)):
@@ -467,7 +491,8 @@ def tableau_phase1(gens, point):
     """The phase-1 simplex over the full integer tableau, with columns for
     the weights, slacks and artificials and an objective row, that the
     revised simplex in ``newton._phase1`` replaced, kept here as its
-    reference.  Same return values."""
+    reference.  It takes a point of Fractions and returns ('inside',
+    weights, slack) or ('outside', w, None) in Fractions."""
     n = len(point)
     r = len(gens)
     width = r + n
@@ -530,12 +555,13 @@ def tableau_phase1(gens, point):
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_revised_simplex_matches_tableau_reference(data):
-    """The revised simplex takes the full tableau's pivots, so it returns
-    exactly the reference's verdict and weights, slack or functional: on
-    generator points, on facet points (convex combinations of
-    generators, where the ratio test ties), on the zero point, on those
-    scaled, and on random points, with exponents and point denominators
-    up to 10**6 in 1 to 5 variables."""
+    """The revised simplex takes the full tableau's pivots, so its integers
+    give exactly the reference's verdict and weights, slack or
+    functional, also with the point's numerators and common denominator
+    both tripled: on generator points, on facet points (convex
+    combinations of generators, where the ratio test ties), on the zero
+    point, on those scaled, and on random points, with exponents and
+    point denominators up to 10**6 in 1 to 5 variables."""
     dim = data.draw(st.integers(1, 5))
     top = data.draw(st.sampled_from((6, 10**6)))
     vec = st.lists(st.integers(0, top), min_size=dim, max_size=dim).map(tuple)
@@ -560,7 +586,18 @@ def test_revised_simplex_matches_tableau_reference(data):
     point = newton.as_rational_point(point)
     expected = tableau_phase1(gens, point)
     event(f"{kind} {expected[0]}")
-    assert newton._phase1(gens, point) == expected
+    q = math.lcm(*(x.denominator for x in point))
+    b = [x.numerator * (q // x.denominator) for x in point]
+    # scaling b and q by a positive integer keeps the basis sequence, so
+    # the integers change and the rationals they stand for do not
+    for k in (1, 3):
+        verdict, x, den = newton._phase1(gens, [k * v for v in b], k * q)
+        if verdict == INSIDE:
+            x = [Fraction(v, den) for v in x]
+            got = (INSIDE, tuple(x[: len(gens)]), tuple(x[len(gens):]))
+        else:
+            got = (OUTSIDE, tuple(Fraction(v, den) for v in x), None)
+        assert got == expected
 
 
 def test_power_examples():
