@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 from functools import partial
 from math import gcd
 
@@ -45,6 +44,7 @@ from .newton import (
     first_missing_generator,
     integral_closure,
     is_normal,
+    parse_rational,
     power,
 )
 from .oracles import closure_oracle, normality_oracle, window_split_oracle
@@ -66,13 +66,6 @@ CSV_HEADER = [
 
 def _bool(b: bool) -> str:
     return "true" if b else "false"
-
-
-def _parse_point(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(Fraction(p) for p in text.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"malformed point: {text!r}") from None
 
 
 def cmd_closure(args) -> dict:
@@ -193,7 +186,7 @@ def cmd_reduce(args) -> dict:
 
 def cmd_certify(args) -> dict:
     ideal = parse_ideal(args.gens)
-    point = _parse_point(args.point)
+    point = [parse_rational(x) for x in args.point.split(",")]
     return NewtonPolyhedron(ideal).contains(point).to_json_dict()
 
 

@@ -47,7 +47,7 @@ class LambdaSpec(Frozen):
     __slots__ = ("lam", "L", "omega", "_closure", "_apery")
 
     def __init__(self, lam: Iterable[int]):
-        lam = tuple(int(v) for v in lam)
+        lam = as_vec(lam)
         if not lam:
             raise ValueError("lambda must have at least one entry")
         if any(v < 1 for v in lam):

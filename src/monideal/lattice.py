@@ -32,8 +32,16 @@ class ConsistencyError(RuntimeError):
     certificate failed its own re-verification.  Never caught internally."""
 
 
-def as_vec(coords: Iterable[int]) -> Vec:
-    return tuple(map(int, coords))
+def as_vec(coords: Iterable) -> Vec:
+    """The exponent vector of ``coords``: ints, bools, integer strings and
+    numbers equal to an int, like 2.0.  Any other entry raises ValueError,
+    nan and inf too, since c // 1 is nan for both; none is truncated."""
+    v = tuple(coords)
+    if all(type(c) is int for c in v):
+        return v
+    if any(not isinstance(c, str) and c != c // 1 for c in v):
+        raise ValueError(f"exponents must be integers, got {v}")
+    return tuple(map(int, v))
 
 
 def require_same_dim(a: tuple, b: tuple) -> None:
@@ -264,7 +272,7 @@ class MonomialIdeal(Frozen):
 
 
 def format_vector(v: Iterable[int]) -> str:
-    return ",".join(str(int(c)) for c in v)
+    return ",".join(map(str, v))
 
 
 def parse_vector(text: str) -> Vec:

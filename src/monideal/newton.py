@@ -62,6 +62,12 @@ OUTSIDE = "outside"
 
 RatVec = tuple[Fraction, ...]
 
+# the keys each verdict's JSON needs, with the type each value must have
+_JSON_FIELDS = {
+    INSIDE: (("weights", list), ("slack", str), ("denominator", object)),
+    OUTSIDE: (("w", list),),
+}
+
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
@@ -82,7 +88,7 @@ def _scaled(xs: Iterable, q: int) -> list[int]:
 def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError):
         raise ValueError(f"malformed rational: {text!r}") from None
 
 
@@ -170,18 +176,31 @@ class MembershipCertificate:
         return {"verdict": OUTSIDE, "w": [str(x) for x in self.w]}
 
     @classmethod
-    def from_json_dict(cls, data: dict, point: Iterable = ()) -> "MembershipCertificate":
+    def from_json_dict(cls, data: dict, point: Iterable) -> "MembershipCertificate":
+        """The certificate of ``point`` that ``to_json_dict`` wrote as
+        ``data``.  Data of any other shape raises ValueError."""
+        if not isinstance(data, dict) or data.get("verdict") not in (INSIDE, OUTSIDE):
+            raise ValueError(f"malformed certificate: {data!r}")
+        for key, kind in _JSON_FIELDS[data["verdict"]]:
+            if key not in data:
+                raise ValueError(f"malformed certificate: no {key!r} in {data!r}")
+            if not isinstance(data[key], kind):
+                raise ValueError(
+                    f"malformed certificate: {key!r} must be a {kind.__name__}"
+                )
         pt = tuple(Fraction(x) for x in point)
-        if data.get("verdict") == INSIDE:
-            terms = tuple(
-                (parse_vector(g), parse_rational(wt)) for g, wt in data["weights"]
-            )
-            slack = tuple(parse_rational(s) for s in data["slack"].split(","))
-            return cls(INSIDE, pt, terms=terms, slack=slack,
-                       denominator=int(data["denominator"]))
-        if data.get("verdict") == OUTSIDE:
+        if data["verdict"] == OUTSIDE:
             return cls(OUTSIDE, pt, w=tuple(parse_rational(x) for x in data["w"]))
-        raise ValueError(f"malformed certificate: {data!r}")
+        weights, den = data["weights"], data["denominator"]
+        if any(not isinstance(t, list) or [*map(type, t)] != [str, str] for t in weights):
+            raise ValueError("malformed certificate: weights must be string pairs")
+        try:
+            (den,) = lattice.as_vec((den,))
+        except (TypeError, ValueError):
+            raise ValueError(f"malformed certificate: denominator {den!r}") from None
+        terms = tuple((parse_vector(g), parse_rational(wt)) for g, wt in weights)
+        slack = tuple(parse_rational(s) for s in data["slack"].split(","))
+        return cls(INSIDE, pt, terms=terms, slack=slack, denominator=den)
 
 
 def _phase1(gens: Sequence[Vec], b: Sequence[int], q: int):

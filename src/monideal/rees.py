@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .ilambda import LambdaSpec, ilambda_generators
-from .lattice import ConsistencyError, Frozen, Vec, require_same_dim, split
+from .lattice import ConsistencyError, Frozen, Vec, as_vec, require_same_dim, split
 from .monoid import almost_quasinormal
 
 
@@ -54,7 +54,7 @@ class ReesSemigroup(Frozen):
         return (self.spec,)
 
     def sigma_value(self, point) -> int:
-        point = tuple(int(x) for x in point)
+        point = as_vec(point)
         require_same_dim(point, self.sigma)
         return sum(map(mul, point, self.sigma))
 
@@ -139,8 +139,7 @@ def express_on_facet(
     """
     spec = S.spec
     n = spec.n
-    point = tuple(int(x) for x in point)
-    require_same_dim(point, S.sigma)
+    point = as_vec(point)
     if S.sigma_value(point) != 0:
         raise ValueError(f"point {point} is not on the sigma facet")
     qs = []

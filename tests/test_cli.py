@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import shlex
@@ -144,12 +145,21 @@ def test_parse_errors_exit_2(capsys):
     assert main(["closure", "--gens", ""]) == 2
     assert main(["closure", "--gens", "1,0;-1,2"]) == 2
     assert main(["reduce", "--lambda", "2,3", "--index", "5"]) == 2
-    assert main(["certify", "--gens", "2,0;0,2", "--point", "-1,0"]) == 2
-    assert main(["certify", "--gens", "2,0;0,2", "--point", "1,,2"]) == 2
-    assert main(["certify", "--gens", "2,0;0,2", "--point", "1/0,1"]) == 2
     assert main(["sweep", "--n", "2", "--max-lambda", "3", "--workers", "0"]) == 2
     assert main(["sweep", "--n", "0", "--max-lambda", "3"]) == 2
     capsys.readouterr()
+    # each --point error names the bad entry; argparse takes a bare "-1,0"
+    # for an option, so only "--point=-1,0" reaches the sign check
+    for point, last in (
+        (["--point", "-1,0"],
+         "monideal certify: error: argument --point: expected one argument"),
+        (["--point=-1,0"], "error: query points must be nonnegative, "
+                           "got (Fraction(-1, 1), Fraction(0, 1))"),
+        (["--point", "1,,2"], "error: malformed rational: ''"),
+        (["--point", "1/0,1"], "error: malformed rational: '1/0'"),
+    ):
+        code, out, err = run_cli(capsys, "certify", "--gens", "2,0;0,2", *point)
+        assert (code, out, err.splitlines()[-1]) == (2, "", last)
 
 
 def test_consistency_errors_exit_4(capsys, monkeypatch):
@@ -225,6 +235,33 @@ def test_sweep_row_scans_and_checks_almost_qn_once(monkeypatch):
     assert row[2:6] == ["false", "p=2;alpha=1,2,6", "false", "false"]
     assert scans == [(2, 3, 7), (1, 2, 6)]
     assert calls == {"almost_qn": 1}
+
+
+def test_readme_quick_tour_values():
+    """The "Library quick tour" block runs, and the value each comment states
+    is the value of the expression before it (a tuple display as its items
+    joined by ", "), and what a comment goes on to say holds too."""
+    section = README.read_text().split("## Library quick tour", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    stated = [line.split("#", 1) for line in block.splitlines() if "#" in line]
+    assert len(stated) == 8
+    for expr, comment in stated:
+        value = eval(expr, scope)
+        tuple_display = isinstance(ast.parse(expr.strip(), mode="eval").body, ast.Tuple)
+        shown = ", ".join(map(repr, value)) if tuple_display else repr(value)
+        comment = comment.strip()
+        assert comment.startswith(shown), (expr, comment)
+        assert not comment[len(shown):][:1].isalnum(), (expr, comment)
+    said = {expr.strip(): comment.strip() for expr, comment in stated}
+    spec = scope["spec"]
+    assert said["is_normal(I).witness"].endswith(": I itself is not closed")
+    assert scope["I"] != scope["Ibar"]
+    gap = f"({spec.L + 1} is not in <{', '.join(map(str, spec.omega))}>)"
+    assert said["almost_quasinormal(spec)"].endswith(gap)
+    relation = scope["congruence_reduce"](spec, 3).relation
+    assert said["congruence_reduce(spec, 3).spec_prime.lam"].endswith(", " + relation)
 
 
 def test_readme_commands_parse(capsys, tmp_path):

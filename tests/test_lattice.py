@@ -24,10 +24,11 @@ from monideal import (
     parse_ideal,
     parse_vector,
 )
-from monideal.ilambda import column_floor, ilambda_generators
+from monideal.ilambda import column_floor, decompose, ilambda_generators
 from monideal.lattice import any_below, minimal_points, split
 from monideal.monoid import apery_set
 from monideal.newton import INSIDE, integral_closure, power
+from monideal.rees import express_on_facet
 
 from conftest import pairwise_minimal
 
@@ -491,12 +492,39 @@ def test_ideal_rejects_bad_input():
          "invalid literal for int() with base 10: 'x'"),
         (2, [iter((0, 1)), iter((1, -1))], ValueError,
          "generator exponents must be nonnegative: (1, -1)"),
+        # a non-integral exponent is refused, not truncated to (1, 0)
+        (2, [(0, 2), (1.5, 0)], ValueError, "exponents must be integers, got (1.5, 0)"),
+        (2, [(Fraction(3, 2), 0), (0, 2)], ValueError,
+         "exponents must be integers, got (Fraction(3, 2), 0)"),
     ],
 )
 def test_ideal_errors_name_the_first_bad_generator(dim, gens, error, message):
     with pytest.raises(error) as info:
         MonomialIdeal(dim, gens)
     assert str(info.value) == message
+
+
+FACET = ReesSemigroup(LambdaSpec((2, 3)))  # L = 6, omega = (3, 2)
+
+# each call puts x, equal to the int v where x is integral, into one exponent
+COERCING_CALLS = {
+    "LambdaSpec": lambda x, v: LambdaSpec((x, 3)),
+    "MonomialIdeal.contains": lambda x, v: parse_ideal("2,0;1,1").contains((x, 1)),
+    "decompose": lambda x, v: decompose(LambdaSpec((2, 3, 7)), (1, x, 6), 2),
+    "sigma_value": lambda x, v: FACET.sigma_value((x, 0, 0)),
+    "express_on_facet": lambda x, v: express_on_facet(FACET, (2 * v, 0, x)),
+}
+
+
+@pytest.mark.parametrize("call", COERCING_CALLS.values(), ids=COERCING_CALLS)
+def test_exponents_are_taken_exactly_or_refused(call):
+    """Every entry point coerces exponents through ``as_vec``: a value equal
+    to an int answers as that int, and any other value raises."""
+    for x, v in ((2.0, 2), (Fraction(4, 2), 2), (True, 1), ("3", 3)):
+        assert repr(call(x, v)) == repr(call(v, v))
+    for x in (1.5, Fraction(3, 2), math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^exponents must be integers, got \("):
+            call(x, 1)
 
 
 def test_ideal_is_immutable_and_hashable():

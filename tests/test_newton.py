@@ -124,6 +124,40 @@ def test_certificate_json_round_trip():
     }
 
 
+INSIDE_JSON = {"verdict": "inside", "weights": [["2,0", "1/2"], ["0,2", "1/2"]],
+               "slack": "0,0", "denominator": 2}
+
+
+def without(key):
+    return {k: v for k, v in INSIDE_JSON.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (5, "malformed certificate: 5"),
+        ({"verdict": "maybe"}, "malformed certificate: {'verdict': 'maybe'}"),
+        (without("weights"), "malformed certificate: no 'weights' in"),
+        (without("slack"), "malformed certificate: no 'slack' in"),
+        (without("denominator"), "malformed certificate: no 'denominator' in"),
+        ({"verdict": "outside"}, "malformed certificate: no 'w' in"),
+        ({**INSIDE_JSON, "weights": "2,0"},
+         "malformed certificate: 'weights' must be a list"),
+        ({**INSIDE_JSON, "weights": [["2,0"]]},
+         "malformed certificate: weights must be string pairs"),
+        ({**INSIDE_JSON, "slack": [0, 0]},
+         "malformed certificate: 'slack' must be a str"),
+        ({**INSIDE_JSON, "denominator": 2.5}, "malformed certificate: denominator 2.5"),
+        ({"verdict": "outside", "w": 5}, "malformed certificate: 'w' must be a list"),
+        ({"verdict": "outside", "w": [None, "1"]}, "malformed rational: None"),
+    ],
+)
+def test_certificate_json_of_another_shape_is_refused(data, message):
+    with pytest.raises(ValueError) as info:
+        MembershipCertificate.from_json_dict(data, (1, 1))
+    assert str(info.value).startswith(message)
+
+
 def test_certificate_verification_rejects_tampering():
     ideal = parse_ideal("2,0;0,2")
     poly = NewtonPolyhedron(ideal)
