@@ -79,7 +79,7 @@ def cmd_power_closure(args) -> dict:
     closed = pw  # power 0: the unit ideal, its own closure
     if args.power >= 1:
         closed = integral_closure(pw, power_of=(NewtonPolyhedron(ideal), args.power))
-    witness = first_missing_generator(pw, closed)
+    witness = first_missing_generator(pw, reversed(closed.generators))
     return {
         "gens": format_ideal(ideal),
         "power": args.power,

@@ -153,7 +153,8 @@ def is_normal_lambda(
     (p = 1 needs no check: such an a is its own one-part split).  The
     first failing (p, a), p outermost and a in ascending lex, is the
     witness.  Adding a - b to one part of a split of b <= a splits a, so
-    it is a minimal point of omega . a >= p * L, and only those are tested."""
+    it is a minimal point of omega . a >= p * L, and only those are tested,
+    as the staircase yields them: the scan stops at the first failed split."""
     n = spec.n
     if not force_enumeration:
         if n <= 2:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from operator import le, sub
 
 Vec = tuple[int, ...]
@@ -109,9 +109,9 @@ def any_below(points: Iterable[Vec], a: Vec) -> bool:
     return False
 
 
-def minimal_points(bounds: Vec, floor: Callable[[Vec, int], int]) -> list[Vec]:
+def minimal_points(bounds: Vec, floor: Callable[[Vec, int], int]) -> Iterator[Vec]:
     """Minimal points, ascending lex, of an up-closed set S restricted to
-    the box 0 <= a <= bounds.
+    the box 0 <= a <= bounds, yielded as the walk finds them.
 
     Each column c = (a_1..a_{n-1}) has a cap, the least of least[c - e_i]
     over c_i > 0: from that height up an earlier minimal point lies below
@@ -123,11 +123,17 @@ def minimal_points(bounds: Vec, floor: Callable[[Vec, int], int]) -> list[Vec]:
     minimal point found so far lies below, so it may keep state across
     calls (cached cuts, say) and may jump over heights it knows to lie
     outside S.
+
+    A point is yielded right after the floor call of its column, before
+    the next column is asked, so a caller that stops at the first point
+    it wants makes no floor call past that point's column.
     """
     *cols, top = as_vec(bounds)
     if not cols:
         t = floor((), top + 1)
-        return [(t,)] if t <= top else []
+        if t <= top:
+            yield (t,)
+        return
     # least[k] is the least member height of the k-th column in product
     # order.  A row is a run of columns that differ only in their last
     # coordinate.  For a head coordinate i, the columns c - e_i of a whole
@@ -137,7 +143,6 @@ def minimal_points(bounds: Vec, floor: Callable[[Vec, int], int]) -> list[Vec]:
     strides = [math.prod(b + 1 for b in cols[i + 1 :]) for i in range(len(heads))]
     full = [top + 1] * width
     least: list[int] = []
-    mins: list[Vec] = []
     for head in itertools.product(*(range(b + 1) for b in heads)):
         k = len(least)
         slices = [least[k - s : k - s + width] for c, s in zip(head, strides) if c]
@@ -153,8 +158,7 @@ def minimal_points(bounds: Vec, floor: Callable[[Vec, int], int]) -> list[Vec]:
             t = floor(head + (x,), cap)
             least.append(t)
             if t < cap:
-                mins.append(head + (x, t))
-    return mins
+                yield head + (x, t)
 
 
 def split(
@@ -245,8 +249,9 @@ class MonomialIdeal(Frozen):
     @classmethod
     def from_antichain(cls, dim: int, antichain: Iterable[Vec]) -> "MonomialIdeal":
         """The ideal of a known antichain of nonnegative ``dim``-vectors,
-        such as the minimal points ``minimal_points`` returns.  Nothing is
-        checked or minimalized; the points are only sorted descending lex."""
+        given as any iterable, such as the minimal points ``minimal_points``
+        yields.  Nothing is checked or minimalized; the points are only
+        sorted descending lex."""
         gens = tuple(sorted(antichain, reverse=True))
         if not gens:
             raise ZeroIdeal("a monomial ideal needs at least one generator")

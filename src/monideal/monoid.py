@@ -22,6 +22,7 @@ from collections.abc import Sequence
 from math import gcd
 
 from .ilambda import LambdaSpec
+from .lattice import as_vec
 
 QUASINORMAL_ON_WINDOW = "quasinormal-on-window"
 FAILURE = "failure"
@@ -30,7 +31,8 @@ VACUOUS = "vacuous"
 
 def membership_table(generators: Sequence[int], bound: int) -> list[bool]:
     """table[s] == s is a nonnegative integer combination of the
-    generators, for 0 <= s <= bound.
+    generators, for 0 <= s <= bound.  The generators are taken exactly,
+    through ``lattice.as_vec``: 1.5 raises ValueError.
 
     The brute-force reference: a table as long as the bound, filled
     coin by coin.  The production routes use the Apery set instead; this
@@ -40,7 +42,7 @@ def membership_table(generators: Sequence[int], bound: int) -> list[bool]:
     that span target moves."""
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
-    gens = sorted({int(g) for g in generators if g > 0})
+    gens = sorted({g for g in as_vec(generators) if g > 0})
     table = [False] * (bound + 1)
     table[0] = True
     for s in range(1, bound + 1):
@@ -145,18 +147,20 @@ def quasinormal_window(spec: LambdaSpec, bound: int | None = None) -> WindowVerd
         return WindowVerdict(VACUOUS, None, bound)
     ap = apery_set(spec)
     m = len(ap)
-    flags = ["0"] * L  # flags[e] == "1" iff e is in E
-    pending = []  # gaps e with no split at the current level, ascending
-    for e in range(1, L):
-        s = L + e
-        if s >= ap[s % m]:
-            flags[e] = "1"
-        else:
-            pending.append(e)
+    # the gaps e with no split at the current level, ascending.  At level
+    # 1 they are the e in [1, L) with L + e < ap[r], r its residue, so
+    # residue r gives the e congruent to r - L mod m and below ap[r] - L
+    pending = []
+    for r in range(m):
+        pending += range((r - L - 1) % m + 1, min(ap[r] - L, L), m)
+    pending.sort()
+    flags = bytearray(b"0" + b"1" * (L - 1))  # flags[e] == ord("1") iff e is in E
+    for e in pending:
+        flags[e] = 48  # ord("0")
     # bit L-1-c of coins_rev is set iff c is in E, so bit j of
     # coins_rev >> (L-1-e) is set iff e - j is in E
-    coins_rev = int("".join(flags), 2)
-    reach = int("".join(reversed(flags)), 2) | 1  # sums of at most p-1 coins
+    coins_rev = int(flags, 2)
+    reach = int(flags[::-1], 2) | 1  # sums of at most p-1 coins
     p = 1  # level 1 cannot fail: L + e is not in M for a gap e
     while pending:
         p += 1

@@ -26,6 +26,8 @@ minimal generators lie below the componentwise maximum of the input
 generators, and one staircase walk up the columns of that box, with
 certificate reuse, finds them.  An ideal is normal when all its powers
 are integrally closed; checking powers 1..n-1 suffices in n variables.
+The walk yields each generator as it finds it, so a normality test stops
+at the first closure generator outside a power.
 
 The powers need no polyhedron of their own: NP(I^m) = m.NP(I), so the
 closure of I^m is the set of lattice points a with a/m in NP(I).  One
@@ -43,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import lattice
 from .lattice import (
@@ -459,21 +461,13 @@ def power(ideal: MonomialIdeal, m: int) -> MonomialIdeal:
     return MonomialIdeal.from_antichain(ideal.dim, lattice.minimalize(sums))
 
 
-def integral_closure(
-    ideal: MonomialIdeal, *, power_of: tuple[NewtonPolyhedron, int] | None = None
-) -> MonomialIdeal:
-    """Minimal generators of the integral closure: the minimal lattice
-    points of the Newton polyhedron.
-
-    The scan is confined to the box below the componentwise maximum M of
-    the generators: a polyhedron lattice point with a coordinate above M
-    keeps slack >= 1 there, so decrementing that coordinate stays inside
-    and the point is not minimal.
-
-    ``power_of=(P, m)`` declares that ``ideal`` is the m-th power (m >= 1)
-    of ``P.ideal``.  Membership is then decided on m.P, with the LPs over
-    the generators of ``P.ideal`` and the cuts cached on P, which all
-    powers share; the result is the same.
+def _closure_points(ideal: MonomialIdeal, poly: NewtonPolyhedron, m: int) -> Iterator[Vec]:
+    """The minimal generators of the integral closure of ``ideal``, the
+    m-th power (m >= 1) of ``poly.ideal``, in ascending lex, each yielded
+    as the scan finds it.  Membership is decided on m.NP(poly.ideal),
+    with the LPs over the generators of ``poly.ideal`` and the cuts
+    cached on ``poly``, which all powers share.  A caller that stops
+    early stops the scan: no LP runs past the last point it took.
 
     The scan is ascending lex and the polyhedron is up-closed, so a point
     reaches the membership test only when no generator found so far lies
@@ -488,15 +482,11 @@ def integral_closure(
     violates closes the column.  The heights jumped over are exactly
     those a cached cut rejects, so the same LPs run, in the same order,
     as on a climb one height at a time.  The LP runs at a/m through
-    ``P.contains``, which re-verifies its certificate; an outside verdict
-    adds its functional, scaled to integers, as one new cut, and the
-    column jumps again on that cut.
+    ``poly.contains``, which re-verifies its certificate; an outside
+    verdict adds its functional, scaled to integers, as one new cut, and
+    the column jumps again on that cut.
     """
-    poly, m = power_of if power_of is not None else (NewtonPolyhedron(ideal), 1)
-    if m < 1:
-        raise ValueError(f"the scaled polyhedron needs a power m >= 1, got {m}")
-    dim = ideal.dim
-    bounds = tuple(max(g[j] for g in ideal.generators) for j in range(dim))
+    bounds = tuple(max(g[j] for g in ideal.generators) for j in range(ideal.dim))
     gens = set(ideal.generators)
     cuts = poly._cuts
 
@@ -522,22 +512,48 @@ def integral_closure(
             new = ((tuple(_scaled(cert.w, den)), den),)
             cuts.extend(new)
 
-    return MonomialIdeal.from_antichain(dim, minimal_points(bounds, floor))
+    return minimal_points(bounds, floor)
 
 
-def first_missing_generator(ideal: MonomialIdeal, closure: MonomialIdeal) -> Vec | None:
-    """The ascending-lex first generator of ``closure`` (the integral
-    closure of ``ideal``) that lies outside ``ideal``, or None.  A closure
-    generator lies in the ideal only if it is an ideal generator: any
-    generator below it is in the closure, so minimality makes them equal."""
+def integral_closure(
+    ideal: MonomialIdeal, *, power_of: tuple[NewtonPolyhedron, int] | None = None
+) -> MonomialIdeal:
+    """Minimal generators of the integral closure: the minimal lattice
+    points of the Newton polyhedron.
+
+    The scan is confined to the box below the componentwise maximum M of
+    the generators: a polyhedron lattice point with a coordinate above M
+    keeps slack >= 1 there, so decrementing that coordinate stays inside
+    and the point is not minimal.  It walks the whole box; the normality
+    tests take the same scan lazily and stop at their witness.
+
+    ``power_of=(P, m)`` declares that ``ideal`` is the m-th power (m >= 1)
+    of ``P.ideal``.  Membership is then decided on m.P, with the LPs over
+    the generators of ``P.ideal`` and the cuts cached on P, which all
+    powers share; the result is the same.
+    """
+    poly, m = power_of if power_of is not None else (NewtonPolyhedron(ideal), 1)
+    if m < 1:
+        raise ValueError(f"the scaled polyhedron needs a power m >= 1, got {m}")
+    return MonomialIdeal.from_antichain(ideal.dim, _closure_points(ideal, poly, m))
+
+
+def first_missing_generator(ideal: MonomialIdeal, points: Iterable[Vec]) -> Vec | None:
+    """The first of ``points``, the closure generators of ``ideal`` in
+    ascending lex, that lies outside ``ideal``, or None.  Nothing past
+    that point is read, so a lazy scan stops there.  A closure generator
+    lies in the ideal only if it is an ideal generator: any generator
+    below it is in the closure, so minimality makes them equal."""
     gens = set(ideal.generators)
-    return min((g for g in closure.generators if g not in gens), default=None)
+    return next((g for g in points if g not in gens), None)
 
 
 def is_integrally_closed(ideal: MonomialIdeal) -> tuple[bool, Vec | None]:
     """(True, None), or (False, witness) with the witness a closure
-    generator outside the ideal, ascending-lex first."""
-    witness = first_missing_generator(ideal, integral_closure(ideal))
+    generator outside the ideal, ascending-lex first.  The closure scan
+    stops at the witness."""
+    scan = _closure_points(ideal, NewtonPolyhedron(ideal), 1)
+    witness = first_missing_generator(ideal, scan)
     return witness is None, witness
 
 
@@ -551,12 +567,14 @@ class NormalityVerdict:
 def is_normal(ideal: MonomialIdeal) -> NormalityVerdict:
     """Whether every power is integrally closed.  Powers 1..n-1 decide it
     in n variables (one power in one variable).  Every power is scanned
-    on the one polyhedron of the ideal, scaled, with one cut cache."""
+    on the one polyhedron of the ideal, scaled, with one cut cache, and
+    the scan of a failing power stops at its first closure generator
+    outside the power, the witness: no LP runs past it."""
     poly = NewtonPolyhedron(ideal)
     top = max(1, ideal.dim - 1)
     for m in range(1, top + 1):
         pw = power(ideal, m)
-        witness = first_missing_generator(pw, integral_closure(pw, power_of=(poly, m)))
+        witness = first_missing_generator(pw, _closure_points(pw, poly, m))
         if witness is not None:
             return NormalityVerdict(False, failing_power=m, witness=witness)
     return NormalityVerdict(True)

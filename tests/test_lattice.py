@@ -205,7 +205,7 @@ def test_minimal_points_asks_what_the_box_walk_asks(data):
         return scan(bounds, member), asked
 
     def staircase(bounds, member):
-        return minimal_points(bounds, climb(member))
+        return list(minimal_points(bounds, climb(member)))
 
     assert run(staircase) == run(box_walk)
 
@@ -231,8 +231,8 @@ def test_minimal_points_skips_capped_out_columns(data):
         calls.append((col, cap))
         return reference(col, cap)
 
-    mins = minimal_points(bounds, floor)
-    assert mins == minimal_points(bounds, climb(member)) == box_walk(bounds, member)
+    mins = list(minimal_points(bounds, floor))
+    assert mins == list(minimal_points(bounds, climb(member))) == box_walk(bounds, member)
     *cols, top = bounds
     expected = []
     for col in itertools.product(*(range(b + 1) for b in cols)):
@@ -290,9 +290,41 @@ def test_row_walk_makes_the_column_walks_floor_calls(data):
             log.append((col, cap, t))
             return t
 
-        return scan(bounds, floor), log
+        return list(scan(bounds, floor)), log
 
     assert run(minimal_points) == run(column_walk)
+
+
+@given(st.data())
+def test_taking_k_points_stops_the_floor_calls_at_the_kth_column(data):
+    """``minimal_points`` yields lazily: taking its first k points calls
+    ``floor`` on no column past the k-th point's column, and the calls
+    made are the first ones of the full scan."""
+    bounds = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=4).map(tuple))
+    point = st.tuples(*(st.integers(0, b + 1) for b in bounds))
+    gens = data.draw(st.lists(point, max_size=6))
+    reference = climb(lambda a: any_below(gens, a))
+
+    def scan():
+        log = []
+
+        def floor(col, cap):
+            log.append(col)
+            return reference(col, cap)
+
+        return minimal_points(bounds, floor), log
+
+    points, full = scan()
+    points = list(points)
+    if not points:
+        return
+    k = data.draw(st.integers(1, len(points)))
+    taken, log = scan()
+    assert list(itertools.islice(taken, k)) == points[:k]
+    kth = points[k - 1][:-1]
+    assert log[-1] == kth
+    assert all(col <= kth for col in log)
+    assert log == full[: len(log)]
 
 
 @given(st.data())

@@ -46,6 +46,19 @@ def test_membership_table_validation():
         membership_table((2, 3), -1)
 
 
+@pytest.mark.parametrize("coins", [[1.5, 2], [2, 2.5], [float("nan"), 2], ["x", 3]])
+def test_membership_table_refuses_inexact_coins(coins):
+    """A coin that is no integer raises: 1.5 is not truncated to the coin 1."""
+    with pytest.raises(ValueError):
+        membership_table(coins, 4)
+
+
+@pytest.mark.parametrize("coins", [[2.0, 3], ["2", 3], [True, 2]])
+def test_membership_table_takes_exact_coins(coins):
+    exact = [int(c) for c in coins]
+    assert membership_table(coins, 9) == membership_table(exact, 9)
+
+
 def test_membership_shift_invariance():
     rng = random.Random(5)
     for lam in ((2, 3), (2, 3, 7), (4, 6), (5, 3, 2)):
@@ -171,12 +184,16 @@ def test_window_agrees_with_parts_maximization_oracle():
     literal maximization table, which is computed very differently.
     On (3,4,7,11), L = 924, the gap 1 survives level 2 (1849 is not in
     M): at bound 1849 level 3 starts and the window is clean, and at
-    1850 the gap 2 fails."""
+    1850 the gap 2 fails.  The three tuples with L = 2310 turn on single
+    coins at level 2: a gap list that took one coin e with L + e = ap[r]
+    for a gap changes each verdict or witness."""
     cases = [
         (lam, min(default_window_bound(mon(*lam)), 700))
         for lam in ((2, 3, 7), (2, 3, 5), (3, 4, 5), (2, 2, 3), (5, 3, 2), (2, 5, 7))
     ]
     cases += [((3, 4, 7, 11), 1849), ((3, 4, 7, 11), 1850)]
+    cases += [(lam, 2 * 2310 + 500) for lam in ((3, 10, 11, 14), (5, 6, 11, 14))]
+    cases += [((6, 7, 10, 11), 2 * 2310 + 500)]
     for lam, bound in cases:
         m = mon(*lam)
         got = quasinormal_window(m, bound)

@@ -780,6 +780,89 @@ def test_scaled_polyhedron_matches_each_power_polyhedron(data):
     assert is_normal(ideal) == expected
 
 
+def eager_witness(ideal, m, poly):
+    """The full closure of I^m, scanned to its end, then the least of its
+    generators outside I^m: the route before the scan stopped early."""
+    pw = power(ideal, m)
+    closed = integral_closure(pw, power_of=(poly, m))
+    return min((g for g in closed.generators if g not in pw.generators), default=None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_early_stop_matches_the_eager_scan(data):
+    """``is_normal`` and ``is_integrally_closed`` stop their scans at the
+    witness, and give what the eager scan gives: the same verdict, power
+    and witness."""
+    dim = data.draw(st.integers(2, 4))
+    vec = st.lists(st.integers(0, 8 - dim), min_size=dim, max_size=dim).map(tuple)
+    ideal = MonomialIdeal(dim, data.draw(st.lists(vec, min_size=1, max_size=6)))
+    poly = NewtonPolyhedron(ideal)
+    expected = NormalityVerdict(True)
+    for m in range(1, max(1, dim - 1) + 1):
+        witness = eager_witness(ideal, m, poly)
+        if witness is not None:
+            expected = NormalityVerdict(False, failing_power=m, witness=witness)
+            break
+    event(f"normal: {expected.normal}")
+    assert is_normal(ideal) == expected
+    witness = eager_witness(ideal, 1, NewtonPolyhedron(ideal))
+    assert is_integrally_closed(ideal) == (witness is None, witness)
+
+
+def lp_points(run):
+    """Run ``run()`` and list every LP point a/m of its scans as (m, a),
+    m the power last passed to ``power`` (1 before any)."""
+    asked, current = [], [1]
+    contains, pw = NewtonPolyhedron.contains, newton.power
+
+    def recorded_power(ideal, m):
+        current[0] = m
+        return pw(ideal, m)
+
+    def recorded_contains(self, point):
+        m = current[0]
+        asked.append((m, tuple(int(x * m) for x in point)))
+        return contains(self, point)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(newton, "power", recorded_power)
+        mp.setattr(newton.NewtonPolyhedron, "contains", recorded_contains)
+        return run(), asked
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_no_lp_runs_past_the_witness(data):
+    """On the power that fails, no LP point a/m has a lex-after the
+    witness: the scan stops there.  The same holds for the one scan of
+    ``is_integrally_closed``."""
+    dim = data.draw(st.integers(2, 4))
+    vec = st.lists(st.integers(0, 8 - dim), min_size=dim, max_size=dim).map(tuple)
+    ideal = MonomialIdeal(dim, data.draw(st.lists(vec, min_size=1, max_size=6)))
+    verdict, asked = lp_points(lambda: is_normal(ideal))
+    event(f"normal: {verdict.normal}")
+    if not verdict.normal:
+        m = verdict.failing_power
+        assert all(a <= verdict.witness for k, a in asked if k == m)
+    (closed, witness), asked = lp_points(lambda: is_integrally_closed(ideal))
+    if not closed:
+        assert all(a <= witness for _, a in asked)
+
+
+def test_integrally_closed_skips_the_lps_past_its_witness():
+    """The full closure scan of (x^4 z^2, y^4 z^4) runs 6 LPs, the last
+    2 past the witness (1,3,4); ``is_integrally_closed`` runs the first 4
+    and stops."""
+    ideal = parse_ideal("4,0,2;0,4,4")
+    closure, full = lp_points(lambda: integral_closure(ideal))
+    verdict, lazy = lp_points(lambda: is_integrally_closed(ideal))
+    assert verdict == (False, (1, 3, 4))
+    assert min(g for g in closure.generators if g not in ideal.generators) == (1, 3, 4)
+    assert len(full) == 6 and lazy == full[:4]
+    assert all(a > (1, 3, 4) for _, a in full[4:])
+
+
 def test_is_normal_runs_every_lp_on_the_base_ideal(monkeypatch):
     """All three powers of this normal ideal are scanned on NP(I) with one
     cut cache: 5 LPs of 4 columns each, 20 columns in all.  Scanning each
