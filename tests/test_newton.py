@@ -788,18 +788,24 @@ def eager_witness(ideal, m, poly):
     return min((g for g in closed.generators if g not in pw.generators), default=None)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_early_stop_matches_the_eager_scan(data):
+@st.composite
+def scan_ideals(draw):
+    """Ideals in 2 to 4 variables with entries up to 8 - n, large enough
+    that many are not normal."""
+    dim = draw(st.integers(2, 4))
+    vec = st.lists(st.integers(0, 8 - dim), min_size=dim, max_size=dim).map(tuple)
+    return MonomialIdeal(dim, draw(st.lists(vec, min_size=1, max_size=6)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scan_ideals())
+def test_early_stop_matches_the_eager_scan(ideal):
     """``is_normal`` and ``is_integrally_closed`` stop their scans at the
     witness, and give what the eager scan gives: the same verdict, power
     and witness."""
-    dim = data.draw(st.integers(2, 4))
-    vec = st.lists(st.integers(0, 8 - dim), min_size=dim, max_size=dim).map(tuple)
-    ideal = MonomialIdeal(dim, data.draw(st.lists(vec, min_size=1, max_size=6)))
     poly = NewtonPolyhedron(ideal)
     expected = NormalityVerdict(True)
-    for m in range(1, max(1, dim - 1) + 1):
+    for m in range(1, max(1, ideal.dim - 1) + 1):
         witness = eager_witness(ideal, m, poly)
         if witness is not None:
             expected = NormalityVerdict(False, failing_power=m, witness=witness)
@@ -831,15 +837,12 @@ def lp_points(run):
         return run(), asked
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_no_lp_runs_past_the_witness(data):
+@settings(max_examples=100, deadline=None)
+@given(scan_ideals())
+def test_no_lp_runs_past_the_witness(ideal):
     """On the power that fails, no LP point a/m has a lex-after the
     witness: the scan stops there.  The same holds for the one scan of
     ``is_integrally_closed``."""
-    dim = data.draw(st.integers(2, 4))
-    vec = st.lists(st.integers(0, 8 - dim), min_size=dim, max_size=dim).map(tuple)
-    ideal = MonomialIdeal(dim, data.draw(st.lists(vec, min_size=1, max_size=6)))
     verdict, asked = lp_points(lambda: is_normal(ideal))
     event(f"normal: {verdict.normal}")
     if not verdict.normal:
