@@ -21,6 +21,7 @@ from monideal import (
     j_ideal,
     parse_ideal,
 )
+from monideal import ilambda
 from monideal.oracles import normality_oracle, omega_dot, split_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -122,6 +123,25 @@ def test_decompose_agrees_with_exhaustive_split_search():
             for a in box_enumerate(tuple(min(2 * v, 8) for v in lam)):
                 found = decompose(spec, a, p) is not None
                 assert found == split_oracle(spec, a, p), (lam, a, p)
+
+
+@pytest.mark.parametrize("packed_from", [0, ilambda.PACKED_SPLIT_GENERATORS])
+@pytest.mark.parametrize(
+    "lam", [(2, 3, 7), (4, 6, 9, 10), (7, 9, 11, 13), (3, 5, 130), (2, 3, 5, 2**40)]
+)
+def test_split_test_agrees_with_decompose(monkeypatch, lam, packed_from):
+    # packed_from = 0 packs every closure, so the packed test meets few
+    # generators too, and (3, 5, 130) and (2, 3, 5, 2**40) make it use
+    # fields wider than one byte.  Every p from 2 to n, on points below
+    # lam: the last coordinate takes 6 values spread over 0..lam_n - 1
+    monkeypatch.setattr(ilambda, "PACKED_SPLIT_GENERATORS", packed_from)
+    spec = LambdaSpec(lam)
+    splits = ilambda.split_test(spec)
+    box = tuple(min(v - 1, 12) for v in lam[:-1]) + (5,)
+    for p in range(2, spec.n + 1):
+        for a in box_enumerate(box):
+            a = a[:-1] + (a[-1] * (lam[-1] - 1) // 5,)
+            assert splits(a, p) == (decompose(spec, a, p) is not None), (lam, a, p)
 
 
 def test_decompose_validation():
