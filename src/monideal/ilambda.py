@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
 from math import gcd, lcm
-from operator import le, mul, sub
-from collections.abc import Callable, Iterable
+from operator import le, mul
+from collections.abc import Iterable
 
 from .lattice import (
     Frozen,
@@ -34,9 +33,6 @@ from .lattice import (
 
 EQUIVALENT = "equivalent"
 FORWARD_ONLY = "forward-only"
-# where the packed split test starts to beat the sequential one: on the
-# 3 x 14 sweep the two cost the same at 40 to 50 closure generators
-PACKED_SPLIT_GENERATORS = 48
 
 
 class LambdaSpec(Frozen):
@@ -136,7 +132,7 @@ def decompose(spec: LambdaSpec, a: Iterable[int], p: int) -> tuple[Vec, ...] | N
         raise ValueError(f"part count must be positive, got {p}")
     if any(x < 0 for x in a):
         return None
-    return split(a, p, ilambda_generators(spec).generators, spec.fits, {})
+    return split(a, p, ilambda_generators(spec).generators, spec.fits)
 
 
 @dataclass(frozen=True)
@@ -159,79 +155,34 @@ def is_normal_lambda(
     first failing (p, a), p outermost and a in ascending lex, is the
     witness.  Adding a - b to one part of a split of b <= a splits a, so
     it is a minimal point of omega . a >= p * L, and only those are tested,
-    as the staircase yields them: the scan stops at the first failed split."""
+    as the staircase yields them: the scan stops at the first failed split.
+
+    The levels run in order, and level p runs only once levels 2..p-1
+    have passed.  Then every b with omega . b >= (p - 1) L splits into
+    p - 1 parts, by induction on p: outside the open box b peels off some
+    lam_i e_i of weight L, and inside it b lies above a tested minimal
+    point.  So a splits into p parts iff some closure generator g <= a
+    has omega . g <= omega . a - (p - 1) L, and that one test is the
+    level test; it is not a split test outside this loop."""
     n = spec.n
     if not force_enumeration:
         if n <= 2:
             return LambdaNormalityVerdict(True, None, "n<=2")
         if gcd(*spec.lam) > n - 2:
             return LambdaNormalityVerdict(True, None, "gcd")
-    splits = split_test(spec)
+    omega, L = spec.omega, spec.L
+    # ascending weight, so the generators light enough to be a first part
+    # are a prefix
+    weights, gens = zip(
+        *sorted((sum(map(mul, omega, g)), g) for g in ilambda_generators(spec).generators)
+    )
     bounds = tuple(v - 1 for v in spec.lam)
     for p in range(2, n):
         for a in minimal_points(bounds, column_floor(spec, p)):
-            if not splits(a, p):
+            count = bisect_right(weights, sum(map(mul, omega, a)) - (p - 1) * L)
+            if not any(all(map(le, g, a)) for g in gens[:count]):
                 return LambdaNormalityVerdict(False, (p, a), "exhaustive")
     return LambdaNormalityVerdict(True, None, "exhaustive")
-
-
-def split_test(spec: LambdaSpec) -> Callable[[Vec, int], bool]:
-    """``splits(a, p)``: whether a, a vector below lam, is a sum of p >= 2
-    closure-set parts; ``decompose`` without the parts.
-
-    a splits iff some minimal generator g <= a has omega . g <= omega . a
-    - (p - 1) L and a - g splits into p - 1 parts (for p = 2: lies in the
-    set).  The generators go in ascending weight, so that bound keeps a
-    prefix of them.  The last level tests the whole prefix at once: each
-    generator is one slot of n fields of whole bytes in one int, and the
-    top bit of a field, above every entry, is its guard.  Subtracting the
-    slots from copies of a with the guards set leaves a field's guard set
-    iff g_i <= a_i, and no borrow crosses a field; a slot whose n guards
-    all stay is a g <= a.  So a test costs the same wherever that g is.
-
-    Below PACKED_SPLIT_GENERATORS generators, building that int costs
-    more than it saves, and ``lattice.split`` answers instead."""
-    omega, L, n = spec.omega, spec.L, spec.n
-    gens = ilambda_generators(spec).generators
-    if len(gens) < PACKED_SPLIT_GENERATORS:
-        fits, memo = spec.fits, {}
-        return lambda a, p: split(a, p, gens, fits, memo) is not None
-    weights = [sum(map(mul, omega, g)) for g in gens]
-    order = sorted(range(len(gens)), key=weights.__getitem__)
-    gens = [gens[i] for i in order]
-    weights = [weights[i] for i in order]
-    k = max(spec.lam).bit_length() // 8 + 1  # bytes per field
-    width = 8 * k * n  # bits per slot
-
-    def pack(values) -> int:
-        raw = bytes(values) if k == 1 else b"".join(x.to_bytes(k, "little") for x in values)
-        return int.from_bytes(raw, "little")
-
-    slots = pack(chain.from_iterable(gens))
-    copies = ((1 << width * len(gens)) - 1) // ((1 << width) - 1)  # 1 in each slot
-    lows = copies << 8 * k - 1  # the guard of field 0 of each slot
-    guards = lows * pack([1] * n)
-    memo: dict = {}
-
-    def splits(a: Vec, p: int) -> bool:
-        top = sum(map(mul, omega, a)) - (p - 1) * L  # heaviest first part
-        count = bisect_right(weights, top)
-        if p == 2:
-            free = ((pack(a) * copies | guards) - slots) & guards
-            hit = free & lows & ((1 << count * width) - 1)
-            for i in range(1, n):
-                hit &= free >> 8 * k * i  # the guard of field 0 stays iff all n do
-            return bool(hit)
-        key = (a, p)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = any(
-                all(map(le, g, a)) and splits(tuple(map(sub, a, g)), p - 1)
-                for g in gens[:count]
-            )
-        return hit
-
-    return splits
 
 
 @dataclass(frozen=True)

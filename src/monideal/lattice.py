@@ -162,38 +162,43 @@ def minimal_points(bounds: Vec, floor: Callable[[Vec, int], int]) -> Iterator[Ve
 
 
 def split(
-    a: Vec, k: int, parts, fits: Callable[[Vec, int], bool], memo: dict
+    a: Vec, k: int, parts, fits: Callable[[Vec, int], bool]
 ) -> tuple[Vec, ...] | None:
     """Write a as (g_1, .., g_{k-1}, rest), k >= 1, each g_i the first of
     ``parts`` under which the remainder splits, or return None.
 
     ``fits(v, j)`` must hold for every v that splits into j parts: it
     prunes the search, and at j == 1 it alone decides the rest, tested
-    inline with no memo entry.  ``memo`` maps (v, j) to the answer of
-    each search; calls with the same parts and fits may share it.
+    inline with no memo entry.  The search memoizes the answer for each
+    (v, j) it meets.
     """
-    key = (a, k)
-    hit = memo.get(key, memo)
-    if hit is not memo:
-        return hit
-    result = None
-    if fits(a, k):
-        if k == 1:
-            result = (a,)
-        else:
-            for g in parts:
-                if all(map(le, g, a)):
-                    v = tuple(map(sub, a, g))
-                    # the last part needs only its test, not a search
-                    if k == 2:
-                        rest = (v,) if fits(v, 1) else None
-                    else:
-                        rest = split(v, k - 1, parts, fits, memo)
-                    if rest is not None:
-                        result = (g,) + rest
-                        break
-    memo[key] = result
-    return result
+    memo: dict = {}
+
+    def search(a: Vec, k: int) -> tuple[Vec, ...] | None:
+        key = (a, k)
+        hit = memo.get(key, memo)
+        if hit is not memo:
+            return hit
+        result = None
+        if fits(a, k):
+            if k == 1:
+                result = (a,)
+            else:
+                for g in parts:
+                    if all(map(le, g, a)):
+                        v = tuple(map(sub, a, g))
+                        # the last part needs only its test, not a search
+                        if k == 2:
+                            rest = (v,) if fits(v, 1) else None
+                        else:
+                            rest = search(v, k - 1)
+                        if rest is not None:
+                            result = (g,) + rest
+                            break
+        memo[key] = result
+        return result
+
+    return search(a, k)
 
 
 class Frozen:

@@ -159,7 +159,7 @@ def express_on_facet(
     parts = ()
     if d_rest:
         facet = frozenset(S.facet_betas)
-        parts = split(rest, d_rest, S.facet_betas, lambda v, j: j > 1 or v in facet, {})
+        parts = split(rest, d_rest, S.facet_betas, lambda v, j: j > 1 or v in facet)
     if parts is None:
         return None
     combo: list[tuple[Vec, int]] = []

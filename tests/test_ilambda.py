@@ -5,6 +5,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from monideal import (
     EQUIVALENT,
@@ -21,7 +22,8 @@ from monideal import (
     j_ideal,
     parse_ideal,
 )
-from monideal import ilambda
+from monideal.ilambda import column_floor
+from monideal.lattice import minimal_points
 from monideal.oracles import normality_oracle, omega_dot, split_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -125,23 +127,43 @@ def test_decompose_agrees_with_exhaustive_split_search():
                 assert found == split_oracle(spec, a, p), (lam, a, p)
 
 
-@pytest.mark.parametrize("packed_from", [0, ilambda.PACKED_SPLIT_GENERATORS])
-@pytest.mark.parametrize(
-    "lam", [(2, 3, 7), (4, 6, 9, 10), (7, 9, 11, 13), (3, 5, 130), (2, 3, 5, 2**40)]
+def reference_normality_scan(spec):
+    """The first (p, a), p = 2..n-1 and a a minimal point of the open box
+    in ``minimal_points`` order, that ``decompose`` cannot split into p
+    parts, or None: ``is_normal_lambda``'s scan with the full split search
+    in place of its level test."""
+    bounds = tuple(v - 1 for v in spec.lam)
+    for p in range(2, spec.n):
+        for a in minimal_points(bounds, column_floor(spec, p)):
+            if decompose(spec, a, p) is None:
+                return p, a
+    return None
+
+
+# entry caps that keep each scan small: the box has prod(lam) points
+LAMBDA_CAPS = {3: 16, 4: 9, 5: 6, 6: 5}
+
+
+@settings(deadline=None)
+@given(
+    st.integers(3, 6).flatmap(
+        lambda n: st.lists(st.integers(1, LAMBDA_CAPS[n]), min_size=n, max_size=n)
+    )
 )
-def test_split_test_agrees_with_decompose(monkeypatch, lam, packed_from):
-    # packed_from = 0 packs every closure, so the packed test meets few
-    # generators too, and (3, 5, 130) and (2, 3, 5, 2**40) make it use
-    # fields wider than one byte.  Every p from 2 to n, on points below
-    # lam: the last coordinate takes 6 values spread over 0..lam_n - 1
-    monkeypatch.setattr(ilambda, "PACKED_SPLIT_GENERATORS", packed_from)
+@example([2, 3, 7])
+@example([3, 4, 7])  # a point whose one first part is the heaviest light enough
+@example([4, 6, 9, 10])
+@example([7, 9, 11, 13])
+@example([3, 5, 130])
+@example([2, 3, 5, 2**40])
+def test_level_test_agrees_with_split_search(lam):
+    """``is_normal_lambda``'s level test gives the verdict and witness of
+    the full split search.  It answers differently on some points no
+    scan reaches: (7, 9, 11, 13) at (5, 7, 9, 9), p = 3."""
     spec = LambdaSpec(lam)
-    splits = ilambda.split_test(spec)
-    box = tuple(min(v - 1, 12) for v in lam[:-1]) + (5,)
-    for p in range(2, spec.n + 1):
-        for a in box_enumerate(box):
-            a = a[:-1] + (a[-1] * (lam[-1] - 1) // 5,)
-            assert splits(a, p) == (decompose(spec, a, p) is not None), (lam, a, p)
+    witness = reference_normality_scan(spec)
+    verdict = is_normal_lambda(spec, force_enumeration=True)
+    assert (verdict.normal, verdict.witness) == (witness is None, witness)
 
 
 def test_decompose_validation():

@@ -413,7 +413,7 @@ def test_split_matches_brute_force_over_part_multisets(parts, k, data):
     picks = data.draw(st.lists(st.sampled_from(parts), min_size=k, max_size=k))
     shift = data.draw(st.sampled_from(((0, 0, 0), (1, 0, 0), (0, 0, -1))))
     a = tuple(max(0, sum(col) + s) for col, s in zip(zip(*picks), shift))
-    found = split(a, k, parts, exact(parts), {})
+    found = split(a, k, parts, exact(parts))
     brute = any(
         tuple(map(sum, zip(*combo))) == a
         for combo in itertools.combinations_with_replacement(parts, k)
@@ -426,18 +426,16 @@ def test_split_matches_brute_force_over_part_multisets(parts, k, data):
 
 def test_split_examples():
     parts = ((2, 0), (1, 1), (0, 2))
-    memo = {}
-    assert split((1, 1), 2, parts, exact(parts), memo) is None
-    assert memo[((1, 1), 2)] is None
+    assert split((1, 1), 2, parts, exact(parts)) is None
     # the first part in the given order under which the rest splits
-    assert split((2, 2), 2, parts, exact(parts), {}) == ((2, 0), (0, 2))
-    assert split((3, 1), 2, parts, exact(parts), {}) == ((2, 0), (1, 1))
-    assert split((1, 1), 1, parts, exact(parts), {}) == ((1, 1),)
+    assert split((2, 2), 2, parts, exact(parts)) == ((2, 0), (0, 2))
+    assert split((3, 1), 2, parts, exact(parts)) == ((2, 0), (1, 1))
+    assert split((1, 1), 1, parts, exact(parts)) == ((1, 1),)
     # a first part that fits but leaves no split is backed out of
     parts = ((1, 0), (2, 0), (0, 1))
-    assert split((2, 1), 2, parts, exact(parts), {}) == ((2, 0), (0, 1))
+    assert split((2, 1), 2, parts, exact(parts)) == ((2, 0), (0, 1))
     # fits prunes: nothing past a false fits(a, k) is searched
-    assert split((2, 2), 2, parts, lambda v, j: False, {}) is None
+    assert split((2, 2), 2, parts, lambda v, j: False) is None
 
 
 def recursive_split(a, k, parts, fits, memo):
@@ -466,9 +464,7 @@ def recursive_split(a, k, parts, fits, memo):
 def test_split_matches_recursive_reference(data):
     """At k = 2 and 3, ``split`` finds the reference's first-fit split,
     or none, with the lambda route's ``fits`` over the closure generators
-    and with the rees route's exact ``fits`` over the facet betas.  The
-    points share one memo, as in ``is_normal_lambda``, and every memo
-    entry agrees with the reference's."""
+    and with the rees route's exact ``fits`` over the facet betas."""
     lam = data.draw(st.lists(st.integers(1, 7), min_size=2, max_size=4))
     spec = LambdaSpec(lam)
     if data.draw(st.sampled_from(("lambda", "rees"))) == "lambda":
@@ -478,7 +474,6 @@ def test_split_matches_recursive_reference(data):
         facet = frozenset(S.facet_betas)
         parts, fits = S.facet_betas, lambda v, j: j > 1 or v in facet
     k = data.draw(st.sampled_from((2, 3)))
-    memo, reference = {}, {}
     for _ in range(data.draw(st.integers(1, 6))):
         # a sum of k parts, sometimes moved up one, or a point of the box
         if data.draw(st.booleans()):
@@ -487,8 +482,7 @@ def test_split_matches_recursive_reference(data):
             a = tuple(sum(c) + (shift >> i & 1) for i, c in enumerate(zip(*picks)))
         else:
             a = tuple(data.draw(st.integers(0, k * x)) for x in lam)
-        assert split(a, k, parts, fits, memo) == recursive_split(a, k, parts, fits, reference)
-    assert all(reference[key] == found for key, found in memo.items())
+        assert split(a, k, parts, fits) == recursive_split(a, k, parts, fits, {})
 
 
 def test_ideal_rejects_bad_input():

@@ -742,6 +742,16 @@ def test_is_normal_on_large_closures_agrees_with_lambda_route(lam, verdict):
     assert is_normal_lambda(spec).normal == verdict.normal
 
 
+def test_is_normal_agrees_with_lambda_route_on_every_sorted_four_tuple():
+    """Criterion 05 in four variables: the two routes agree on all 126
+    sorted 4-tuples of [1, 6]^4, so the lambda route's level p = 3 is
+    checked on each normal tuple it scans."""
+    for lam in itertools.combinations_with_replacement(range(1, 7), 4):
+        spec = LambdaSpec(lam)
+        normal = is_normal_lambda(spec).normal
+        assert is_normal(ilambda_generators(spec)).normal == normal, lam
+
+
 def test_normality_powers_route():
     assert is_normal(parse_ideal("2,0;1,1;0,2")).normal
     assert is_normal(parse_ideal("1,0")).normal
