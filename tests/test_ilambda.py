@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 import random
 from math import gcd
 from pathlib import Path
@@ -164,6 +165,37 @@ def test_level_test_agrees_with_split_search(lam):
     witness = reference_normality_scan(spec)
     verdict = is_normal_lambda(spec, force_enumeration=True)
     assert (verdict.normal, verdict.witness) == (witness is None, witness)
+
+
+@pytest.mark.parametrize("lift", [0, 48])
+@pytest.mark.parametrize(
+    "lam", [(2, 3, 7), (4, 6, 9, 10), (7, 9, 11, 13), (3, 5, 130), (2, 3, 5, 2**40)]
+)
+def test_split_test_agrees_with_decompose(lam, lift):
+    """The split test behind ``is_normal_lambda``'s levels: once levels
+    2..p-1 have passed, a splits into p parts iff some closure generator
+    g <= a has omega . g <= omega . a - (p - 1) L.  Checked against
+    ``decompose`` for every p from 2 to n that the scan reaches or would
+    reach next, on points below lam whose last coordinate takes 6 values
+    spread over 0..lam_n - 1 and is then raised by ``lift``: lift 48 puts
+    it past lam_n on the small tuples, where the induction peels off
+    lam_n e_n.  (3, 5, 130) and (2, 3, 5, 2**40) have weights wider than
+    one byte."""
+    spec = LambdaSpec(lam)
+    L = spec.L
+    gens = ilambda_generators(spec).generators
+    verdict = is_normal_lambda(spec, force_enumeration=True)
+    last_level = spec.n if verdict.normal else verdict.witness[0]
+    box = tuple(min(v - 1, 12) for v in lam[:-1]) + (5,)
+    for p in range(2, last_level + 1):
+        for a in box_enumerate(box):
+            a = a[:-1] + (a[-1] * (lam[-1] - 1) // 5 + lift,)
+            budget = omega_dot(spec, a) - (p - 1) * L
+            splits = any(
+                all(map(operator.le, g, a)) and omega_dot(spec, g) <= budget
+                for g in gens
+            )
+            assert splits == (decompose(spec, a, p) is not None), (lam, a, p)
 
 
 def test_decompose_validation():
