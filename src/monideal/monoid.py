@@ -2,11 +2,13 @@
 
 Scaling by L = lcm(lam) turns it into the numerical semigroup M of N
 generated by omega_i = L / lam_i; gcd(omega) = 1, so M is cofinite.
-Every question here is answered from the Apery set of M with respect to
-m = min(omega): ap[r] is the least element of M congruent to r mod m, so
-s lies in M iff s >= ap[s % m], and the largest gap is max(ap) - m
-(Nijenhuis 1979).  The set is computed once per LambdaSpec, in exact
-ints, and kept on it.
+Membership, the conductor and the default window are answered from the
+Apery set of M with respect to m = min(omega): ap[r] is the least
+element of M congruent to r mod m, so s lies in M iff s >= ap[s % m],
+and the largest gap is max(ap) - m (Nijenhuis 1979).  The set is
+computed once per LambdaSpec, in exact ints, and kept on it.  The
+window's first level needs all of M below 2L at once, and reads it off
+one int bitset instead.
 
 Quasinormality asks that each element s >= L split into floor(s/L)
 parts that each stay >= L; this module decides it on a finite window,
@@ -17,6 +19,7 @@ is the almost-quasinormal test that feeds the Rees-algebra criterion.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from collections.abc import Sequence
 from math import gcd
@@ -132,7 +135,11 @@ def quasinormal_window(spec: LambdaSpec, bound: int | None = None) -> WindowVerd
     such coin, so only the gaps of E need more.  Level p keeps the gaps
     that are no sum of at most p coins: a gap leaves it when e - j lies
     in E for some sum j of at most p - 1 coins, which is one AND of two
-    int bitsets per gap per level.  The scan goes p-major, e ascending,
+    int bitsets per gap per level.  E and its gaps come from one int
+    bitset of M below 2L, built by shift-ORs that double the multiple of
+    each omega_i; level 2 finds the gaps one at a time, so a window that
+    fails at its first gaps never lists the rest.  The Apery set decides
+    membership of p*L + e past 2L.  The scan goes p-major, e ascending,
     i.e. in increasing s, and reports the first kept gap with p*L + e in
     M; a gap drops out once p*L + e passes the bound.  A gap kept at
     level p has p*L + e below the conductor, so the last level starts
@@ -147,22 +154,30 @@ def quasinormal_window(spec: LambdaSpec, bound: int | None = None) -> WindowVerd
         return WindowVerdict(VACUOUS, None, bound)
     ap = apery_set(spec)
     m = len(ap)
-    # the gaps e with no split at the current level, ascending.  At level
-    # 1 they are the e in [1, L) with L + e < ap[r], r its residue, so
-    # residue r gives the e congruent to r - L mod m and below ap[r] - L
-    pending = []
-    for r in range(m):
-        pending += range((r - L - 1) % m + 1, min(ap[r] - L, L), m)
-    pending.sort()
-    flags = bytearray(b"0" + b"1" * (L - 1))  # flags[e] == ord("1") iff e is in E
-    for e in pending:
-        flags[e] = 48  # ord("0")
-    # bit L-1-c of coins_rev is set iff c is in E, so bit j of
-    # coins_rev >> (L-1-e) is set iff e - j is in E
+    # bit s of member is set iff s is in M, for 0 <= s < 2L: {0} closed
+    # under each omega_i by doubling, so member gains the multiples
+    # w, 2w, .., (2^k - 1)w after k shifts; every member below 2L is a
+    # sum of generators whose partial sums all stay below 2L
+    top = 2 * L
+    mask = (1 << top) - 1
+    member = 1
+    for w in set(spec.omega):
+        while w < top:
+            member |= (member << w) & mask
+            w += w
+    # reach: the sums of at most p-1 coins, with 0; at level 2, the e
+    # with L + e in M.  flags[e] == "0" iff e is a gap, and bit L-1-c of
+    # coins_rev is set iff L + c is in M, so bit j of coins_rev >> (L-1-e)
+    # is set iff e - j is a coin (j = e meets reach's bit e, which a gap
+    # never has, so the stray coin 0 splits nothing)
+    reach = member >> L
+    flags = format(reach, f"0{L}b")[::-1]
     coins_rev = int(flags, 2)
-    reach = int(flags[::-1], 2) | 1  # sums of at most p-1 coins
+    # the gaps of level 1, ascending, found one at a time: a window that
+    # fails at its first gaps never looks at the rest
+    pending = map(re.Match.start, re.finditer("0", flags))
     p = 1  # level 1 cannot fail: L + e is not in M for a gap e
-    while pending:
+    while True:
         p += 1
         base = p * L
         kept = []
@@ -177,6 +192,8 @@ def quasinormal_window(spec: LambdaSpec, bound: int | None = None) -> WindowVerd
                 return WindowVerdict(FAILURE, (s, p), bound)
             else:
                 kept.append(e)
+        if not kept:
+            break
         # reach grows only after the whole level, so it stays the sums of
         # at most p-1 coins while the level is read
         reach |= split

@@ -319,6 +319,23 @@ def test_sweep_csv_bytes_in_three_variables_up_to_twenty():
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "n, max_lambda, digest",
+    [
+        (3, 20, "489d26ea3c8199e93f04b1448728ecef7879dc792f97fe029354918849b0e708"),
+        (4, 8, "4d503291f442e77f312a848f0e36c859f995a078cb5eed89fe00f67f5691dfcf"),
+    ],
+)
+def test_sweep_csv_bytes_with_a_window_bound_past_every_level(n, max_lambda, digest):
+    """The sweep CSV bytes are pinned at a bound given by the caller,
+    10**12, where every window runs its gap levels until one fails or
+    none is left.  The default bound, at least 2(L + conductor), already
+    cuts no window short in these sweeps; this pin covers the bound
+    column and a caller's bound reaching every row's window."""
+    text = sweep_csv(n, max_lambda, 10**12, 1)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_sweep_workers_capped_at_cpu_count(monkeypatch, capsys):
     """--workers beyond os.cpu_count() asks for no more processes, and
     rows go to the pool 16 at a time; an in-process stand-in for the pool

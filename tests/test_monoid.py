@@ -1,10 +1,11 @@
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monideal import (
     FAILURE,
@@ -20,6 +21,7 @@ from monideal import (
     WindowVerdict,
     quasinormal_window,
 )
+from monideal.monoid import apery_set
 from monideal.oracles import max_parts_table, window_split_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -205,6 +207,83 @@ def test_window_agrees_with_parts_maximization_oracle():
     m = mon(3, 4, 7, 11)
     assert quasinormal_window(m, 1849).status == QUASINORMAL_ON_WINDOW
     assert quasinormal_window(m, 1850).witness == (1850, 2)
+
+
+def residue_window(spec, bound=None):
+    """The ``quasinormal_window`` that built its level-1 gaps from the
+    Apery set, one residue class mod m at a time, and listed them all
+    before level 2, kept here as its reference."""
+    L = spec.L
+    if bound is None:
+        bound = default_window_bound(spec)
+    if bound < L:
+        return WindowVerdict(VACUOUS, None, bound)
+    ap = apery_set(spec)
+    m = len(ap)
+    # residue r gives the gaps e congruent to r - L mod m and below ap[r] - L
+    pending = []
+    for r in range(m):
+        pending += range((r - L - 1) % m + 1, min(ap[r] - L, L), m)
+    pending.sort()
+    flags = bytearray(b"0" + b"1" * (L - 1))  # flags[e] == ord("1") iff e is in E
+    for e in pending:
+        flags[e] = ord("0")
+    coins_rev = int(flags, 2)
+    reach = int(flags[::-1], 2) | 1
+    p = 1
+    while pending:
+        p += 1
+        base = p * L
+        kept = []
+        split = 0
+        for e in pending:
+            s = base + e
+            if s > bound:
+                break
+            if (coins_rev >> (L - 1 - e)) & reach:
+                split |= 1 << e
+            elif s >= ap[s % m]:
+                return WindowVerdict(FAILURE, (s, p), bound)
+            else:
+                kept.append(e)
+        reach |= split
+        pending = kept
+    return WindowVerdict(QUASINORMAL_ON_WINDOW, None, bound)
+
+
+LARGE_LAMBDA_WINDOWS = {
+    (13, 17, 19): WindowVerdict(FAILURE, (8405, 2), 50388),
+    (17, 19, 23): WindowVerdict(QUASINORMAL_ON_WINDOW, None, 89148),
+    (7, 9, 11, 13): WindowVerdict(FAILURE, (18020, 2), 144144),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(1, 30), min_size=1, max_size=5).filter(lambda lam: math.lcm(*lam) <= 10**5),
+    st.integers(0, 10**5),
+)
+@example((3, 4, 7, 11), 1)  # bound 1849: the gap 1 reaches level 3
+@example((3, 4, 7, 11), 2)  # bound 1850: the gap 2 fails at level 2
+@example((13, 17, 19), 0)
+@example((17, 19, 23), 0)
+@example((7, 9, 11, 13), 0)
+def test_window_matches_residue_window_reference(lam, k):
+    """The bitset window against the per-residue one it replaced, at
+    the bounds where a level starts, ends or never stops: the same
+    status, witness and bound."""
+    spec = LambdaSpec(lam)
+    L = spec.L
+    for bound in (None, L - 1, L, L + 1, 2 * L + k % L, 3 * L, 10**30):
+        assert quasinormal_window(spec, bound) == residue_window(spec, bound), (lam, bound)
+
+
+@pytest.mark.parametrize("lam", LARGE_LAMBDA_WINDOWS)
+def test_large_lambda_windows_do_not_depend_on_the_order(lam):
+    """The window depends only on the multiset of omega, so every order
+    of a benchmark tuple gives one verdict, witness and bound."""
+    verdicts = {quasinormal_window(LambdaSpec(perm)) for perm in itertools.permutations(lam)}
+    assert verdicts == {LARGE_LAMBDA_WINDOWS[lam]}
 
 
 def test_missing_almost_quasinormality_always_surfaces_in_default_window():
