@@ -260,6 +260,8 @@ LARGE_LAMBDA_WINDOWS = {
 
 @settings(max_examples=150, deadline=None)
 @given(
+    # a clean window costs about gaps x L bit operations per level, so L
+    # stays at most 10**5 to keep the property fast
     st.lists(st.integers(1, 30), min_size=1, max_size=5).filter(lambda lam: math.lcm(*lam) <= 10**5),
     st.integers(0, 10**5),
 )
