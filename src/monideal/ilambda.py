@@ -38,14 +38,15 @@ FORWARD_ONLY = "forward-only"
 class LambdaSpec(Frozen):
     """A vector of positive integers with its derived data: L = lcm and
     omega_i = L / lambda_i, plus the closure ideal once
-    ilambda_generators has scanned for it and the Apery set of the
-    monoid generated by omega once monoid.apery_set has computed it.
+    ilambda_generators has scanned for it and the int bitset of the
+    monoid generated by omega, with its conductor, once a monoid
+    function has built it.
 
     gcd(omega) is always 1: a common factor of all L/lam_i would shrink
     the lcm.  The monoid functions rely on that.
     """
 
-    __slots__ = ("lam", "L", "omega", "_closure", "_apery")
+    __slots__ = ("lam", "L", "omega", "_closure", "_monoid")
 
     def __init__(self, lam: Iterable[int]):
         lam = as_vec(lam)
@@ -57,7 +58,7 @@ class LambdaSpec(Frozen):
         object.__setattr__(self, "L", lcm(*lam))
         object.__setattr__(self, "omega", tuple(self.L // v for v in lam))
         object.__setattr__(self, "_closure", None)
-        object.__setattr__(self, "_apery", None)
+        object.__setattr__(self, "_monoid", None)
 
     def _args(self):
         return (self.lam,)

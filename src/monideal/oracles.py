@@ -6,8 +6,8 @@ polyhedral solver, splits via exhaustive search over the whole exponent
 set instead of minimal-generator recursion, normality via that search
 over the whole open box instead of its minimal points, and window
 quasinormality via the literal parts-maximization table over a
-brute-force membership table instead of the Apery set and the excess
-gap levels.
+brute-force membership table instead of the bitset of the monoid and
+the excess gap levels.
 The fixture seeder records these outputs so the test suite can pin them.
 
 This module is the one home of the brute-force layer, and no production

@@ -17,6 +17,7 @@ from monideal import (
     ReesSemigroup,
     ZeroIdeal,
     box_enumerate,
+    conductor,
     format_ideal,
     format_vector,
     le_pr,
@@ -26,7 +27,6 @@ from monideal import (
 )
 from monideal.ilambda import column_floor, decompose, ilambda_generators
 from monideal.lattice import any_below, minimal_points, split
-from monideal.monoid import apery_set
 from monideal.newton import INSIDE, integral_closure, power
 from monideal.rees import express_on_facet
 
@@ -625,8 +625,8 @@ def _warm_polyhedron():
 def _warm_spec():
     spec = LambdaSpec((2, 3, 7))
     ilambda_generators(spec)
-    apery_set(spec)
-    assert spec._closure is not None and spec._apery is not None
+    conductor(spec)
+    assert spec._closure is not None and spec._monoid is not None
     return spec
 
 
@@ -643,7 +643,8 @@ def test_immutable_objects_pickle_and_copy(make):
     """The slotted immutable classes rebuild from their constructor
     arguments, so pickling (worker processes) and copying work; no
     attribute can be assigned, an object is never equal to its argument
-    tuple, and the caches (closure, Apery set, cuts) start afresh."""
+    tuple, and the caches (closure, bitset of the monoid, cuts) start
+    afresh."""
     obj = make()
     name = type(obj).__name__
     for attr in type(obj).__slots__ + ("other",):
@@ -658,6 +659,6 @@ def test_immutable_objects_pickle_and_copy(make):
         assert type(clone) is type(obj)
         assert clone == obj and hash(clone) == hash(obj)
         if isinstance(obj, LambdaSpec):
-            assert clone._closure is None and clone._apery is None
+            assert clone._closure is None and clone._monoid is None
         if isinstance(obj, NewtonPolyhedron):
             assert clone._cuts == []

@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 import json
 import math
 import random
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,6 @@ from monideal import (
     WindowVerdict,
     quasinormal_window,
 )
-from monideal.monoid import apery_set
 from monideal.oracles import max_parts_table, window_split_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -29,6 +30,38 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def mon(*lam):
     return LambdaSpec(lam)
+
+
+def apery_set(spec):
+    """ap[r] = the least element of M congruent to r mod m = min(omega),
+    for 0 <= r < m: an independent reference for ``in_M`` and
+    ``conductor``, which read an int bitset of M instead.  s is in M iff
+    s >= ap[s % m], and the largest gap is max(ap) - m (Nijenhuis 1979).
+
+    Round-robin (Boecker and Liptak 2007): add the generators one at a
+    time; for each, walk every cycle of residues r, r + a, r + 2a, ..
+    (mod m) from its least entry, relaxing ap[r + a] with ap[r] + a."""
+    omega = spec.omega
+    m = min(omega)
+    # An Apery element is a sum of at most m - 1 generators (a longer
+    # sum has a nonempty subsum divisible by m), so n + a below never
+    # reaches this marker for a residue not yet reached.
+    unreached = m * max(omega) + 1
+    ap = [0] + [unreached] * (m - 1)
+    for a in set(omega) - {m}:
+        d = gcd(a, m)
+        for r in range(d):
+            n = min(ap[r::d])
+            if n == unreached:
+                continue
+            for _ in range(m // d - 1):
+                n += a
+                q = n % m
+                if ap[q] < n:
+                    n = ap[q]
+                else:
+                    ap[q] = n
+    return tuple(ap)
 
 
 def test_membership_examples():
@@ -86,6 +119,30 @@ def test_conductor_examples():
     assert conductor(mon(2, 3, 7)) == 44  # <21,14,6>: last gap at 43
     assert conductor(mon(1, 9)) == 0  # omega contains 1
     assert conductor(mon(5, 3, 2)) == 30  # <6,10,15>: last gap at 29
+    # the three large_lambda tuples, whose bitsets stop at top = 2L
+    assert conductor(mon(13, 17, 19)) == 7608
+    assert conductor(mon(17, 19, 23)) == 13708
+    assert conductor(mon(7, 9, 11, 13)) == 23228
+    # L = 510510: the bitset's top doubles twice, from 2L to 8L
+    assert conductor(mon(2, 3, 5, 7, 11, 13, 17)) == 2346894
+
+
+def test_conductor_digest_of_small_sweeps():
+    """The conductor of every sorted tuple of 3x24, 4x14 and 5x9, pinned
+    by digest.  A sweep CSV never shows it: there the default bound is
+    always 4nL.  153 of the 6267 tuples have c > 2L - m, so the bitset
+    of M must double its top past 2L before its last m bits are all set."""
+    lines = []
+    past_2l = 0
+    for n, k in ((3, 24), (4, 14), (5, 9)):
+        for lam in itertools.combinations_with_replacement(range(1, k + 1), n):
+            spec = LambdaSpec(lam)
+            c = conductor(spec)
+            lines.append(f"{lam}:{c}\n")
+            past_2l += c > 2 * spec.L - min(spec.omega)
+    assert (len(lines), past_2l) == (6267, 153)
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "1f1a80aea91f894cb11f5773e6dc1c9a942f13768cb65b6dc923bfc35022cb7d"
 
 
 def test_conductor_is_tight():
@@ -105,6 +162,8 @@ def test_apery_round_robin_restarts_from_a_smaller_entry():
     ap[8] and ap[4] as 98 and 112 (not 35 and 49) and 14 values of in_M."""
     spec = mon(6, 9, 14)
     assert (spec.L, spec.omega) == (126, (21, 14, 9))
+    ap = apery_set(spec)
+    assert (ap[8], ap[4]) == (35, 49)
     table = membership_table(spec.omega, 3 * spec.L)
     assert [in_M(spec, s) for s in range(3 * spec.L + 1)] == table
     c = conductor(spec)
@@ -135,13 +194,32 @@ def test_apery_routes_match_brute_force_routes(lam, data):
 
 
 def test_conductor_beyond_the_reach_of_a_table_scan():
-    """The doubling table scan needed 52M cells here; the Apery set has
-    min(omega) = 5434 entries."""
+    """The doubling table scan needed 52M cells here; the bitset of M
+    doubles its top once, to 4L = 499928 bits."""
     spec = mon(13, 23, 22, 19)
     c = conductor(spec)
     assert c == 347640
     table = membership_table(spec.omega, c + min(spec.omega))
     assert all(table[c:]) and not table[c - 1]
+
+
+# each in_M call shifts the whole bitset, so the range costs about
+# c x top bit operations: an example near L = 10**5 takes seconds
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=5).filter(lambda lam: math.lcm(*lam) <= 10**5))
+@example((13, 17, 19))
+@example((6, 9, 14))
+@example((2, 3, 4, 5, 7))  # c = 872 > 2L - m: the bitset's top doubles
+def test_bitset_routes_match_apery_reference(lam):
+    """in_M and conductor against the round-robin Apery set, at L where a
+    bound-sized coin table would be too slow: c = max(ap) - m + 1, and
+    s is in M iff s >= ap[s % m], on all of [0, c + m]."""
+    spec = LambdaSpec(lam)
+    ap = apery_set(spec)
+    m = len(ap)
+    c = conductor(spec)
+    assert c == max(ap) - m + 1
+    assert [in_M(spec, s) for s in range(c + m + 1)] == [s >= ap[s % m] for s in range(c + m + 1)]
 
 
 def test_window_cost_does_not_grow_with_the_bound():
