@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import le, mul
+from operator import le, mul, sub
 from collections.abc import Iterable
 
 from .lattice import (
@@ -28,7 +28,6 @@ from .lattice import (
     minimal_points,
     parse_vector,
     require_same_dim,
-    split,
 )
 
 EQUIVALENT = "equivalent"
@@ -70,12 +69,6 @@ class LambdaSpec(Frozen):
     @property
     def n(self) -> int:
         return len(self.lam)
-
-    def fits(self, v: Vec, j: int = 1) -> bool:
-        """omega . v >= j * L, true of every v that splits into j closure-set
-        parts; j = 1 is membership.  The split search's hot test: no dim or
-        sign check."""
-        return sum(map(mul, self.omega, v)) >= j * self.L
 
     def __repr__(self):
         return f"LambdaSpec({list(self.lam)!r})"
@@ -125,15 +118,49 @@ def decompose(spec: LambdaSpec, a: Iterable[int], p: int) -> tuple[Vec, ...] | N
 
     A split exists iff some minimal generator g fits under a and a - g
     splits into p - 1 parts: surplus in the first part can always be
-    pushed into the remaining ones, since the set is up-closed.
+    pushed into the remaining ones, since the set is up-closed.  Each
+    part but the last is the first generator, in the ideal's order, under
+    which the rest splits.  A v that splits into k parts has omega . v >=
+    kL: that test prunes the memoized search and alone decides the last.
     """
     a = as_vec(a)
     require_same_dim(a, spec.lam)
+    try:
+        (p,) = as_vec((p,))
+    except (TypeError, ValueError):
+        raise ValueError(f"part count must be an integer, got {p!r}") from None
     if p < 1:
         raise ValueError(f"part count must be positive, got {p}")
     if any(x < 0 for x in a):
         return None
-    return split(a, p, ilambda_generators(spec).generators, spec.fits)
+    gens, omega, L = ilambda_generators(spec).generators, spec.omega, spec.L
+    memo: dict = {}
+
+    def search(a: Vec, k: int) -> tuple[Vec, ...] | None:
+        key = (a, k)
+        hit = memo.get(key, memo)
+        if hit is not memo:
+            return hit
+        result = None
+        if sum(map(mul, omega, a)) >= k * L:
+            if k == 1:
+                result = (a,)
+            else:
+                for g in gens:
+                    if all(map(le, g, a)):
+                        v = tuple(map(sub, a, g))
+                        # the last part needs only its test, not a search
+                        if k == 2:
+                            rest = (v,) if sum(map(mul, omega, v)) >= L else None
+                        else:
+                            rest = search(v, k - 1)
+                        if rest is not None:
+                            result = (g,) + rest
+                            break
+        memo[key] = result
+        return result
+
+    return search(a, p)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterable, Iterator
-from operator import le, sub
 
 Vec = tuple[int, ...]
 
@@ -159,46 +158,6 @@ def minimal_points(bounds: Vec, floor: Callable[[Vec, int], int]) -> Iterator[Ve
             least.append(t)
             if t < cap:
                 yield head + (x, t)
-
-
-def split(
-    a: Vec, k: int, parts, fits: Callable[[Vec, int], bool]
-) -> tuple[Vec, ...] | None:
-    """Write a as (g_1, .., g_{k-1}, rest), k >= 1, each g_i the first of
-    ``parts`` under which the remainder splits, or return None.
-
-    ``fits(v, j)`` must hold for every v that splits into j parts: it
-    prunes the search, and at j == 1 it alone decides the rest, tested
-    inline with no memo entry.  The search memoizes the answer for each
-    (v, j) it meets.
-    """
-    memo: dict = {}
-
-    def search(a: Vec, k: int) -> tuple[Vec, ...] | None:
-        key = (a, k)
-        hit = memo.get(key, memo)
-        if hit is not memo:
-            return hit
-        result = None
-        if fits(a, k):
-            if k == 1:
-                result = (a,)
-            else:
-                for g in parts:
-                    if all(map(le, g, a)):
-                        v = tuple(map(sub, a, g))
-                        # the last part needs only its test, not a search
-                        if k == 2:
-                            rest = (v,) if fits(v, 1) else None
-                        else:
-                            rest = search(v, k - 1)
-                        if rest is not None:
-                            result = (g,) + rest
-                            break
-        memo[key] = result
-        return result
-
-    return search(a, k)
 
 
 class Frozen:

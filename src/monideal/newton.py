@@ -75,8 +75,13 @@ _F1 = Fraction(1)
 
 
 def as_rational_point(point: Iterable) -> RatVec:
-    """Coerce to a tuple of Fractions; entries must be nonnegative."""
-    p = tuple(x if type(x) is Fraction else Fraction(x) for x in point)
+    """Coerce to a tuple of Fractions; entries must be rational and
+    nonnegative, so inf and nan raise ValueError."""
+    point = tuple(point)
+    try:
+        p = tuple(x if type(x) is Fraction else Fraction(x) for x in point)
+    except (OverflowError, ValueError):
+        raise ValueError(f"query points must be rational, got {point}") from None
     if any(x.numerator < 0 for x in p):
         raise ValueError(f"query points must be nonnegative, got {p}")
     return p

@@ -16,8 +16,8 @@ import itertools
 from dataclasses import dataclass
 from operator import mul
 
-from .ilambda import LambdaSpec, ilambda_generators
-from .lattice import ConsistencyError, Frozen, Vec, as_vec, require_same_dim, split
+from .ilambda import LambdaSpec, decompose, ilambda_generators
+from .lattice import ConsistencyError, Frozen, Vec, as_vec, require_same_dim
 from .monoid import almost_quasinormal
 
 
@@ -26,9 +26,9 @@ class ReesSemigroup(Frozen):
 
     ``sigmas`` holds the sigma value of each generator, aligned with
     ``generators``: omega_i for (e_i, 0), omega . beta - L for (beta, 1).
-    ``facet_betas`` are the betas whose value is 0."""
+    The betas of value 0, of weight omega . beta = L, span the facet."""
 
-    __slots__ = ("spec", "ideal", "generators", "sigma", "sigmas", "facet_betas")
+    __slots__ = ("spec", "ideal", "generators", "sigma", "sigmas")
 
     def __init__(self, spec: LambdaSpec):
         ideal = ilambda_generators(spec)
@@ -47,8 +47,6 @@ class ReesSemigroup(Frozen):
         object.__setattr__(self, "generators", tuple(gens))
         object.__setattr__(self, "sigma", omega + (-L,))
         object.__setattr__(self, "sigmas", omega + beta_sigmas)
-        facet = tuple(b for b, s in zip(betas, beta_sigmas) if s == 0)
-        object.__setattr__(self, "facet_betas", facet)
 
     def _args(self):
         return (self.spec,)
@@ -154,12 +152,9 @@ def express_on_facet(
     if d_rest < 0:
         raise ConsistencyError(f"facet reduction broke sigma on {point}")
     # omega.rest = L d_rest with every omega_i > 0, so d_rest = 0 forces
-    # rest = 0; sums of betas stay on the facet, so only the last part
-    # needs a test: it must be a sigma-zero exponent exactly
-    parts = ()
-    if d_rest:
-        facet = frozenset(S.facet_betas)
-        parts = split(rest, d_rest, S.facet_betas, lambda v, j: j > 1 or v in facet)
+    # rest = 0.  Each part of a d_rest-part closure split of rest weighs
+    # exactly L, so it is a minimal generator of sigma value zero
+    parts = decompose(spec, rest, d_rest) if d_rest else ()
     if parts is None:
         return None
     combo: list[tuple[Vec, int]] = []

@@ -1,7 +1,11 @@
+import hashlib
 import itertools
 import json
+import math
 import operator
 import random
+from collections import Counter
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -12,10 +16,13 @@ from monideal import (
     EQUIVALENT,
     FORWARD_ONLY,
     LambdaSpec,
+    ReesSemigroup,
     box_enumerate,
     congruence_reduce,
     decompose,
+    express_on_facet,
     format_ideal,
+    grp_facet_check,
     ilambda_generators,
     in_gamma,
     integral_closure,
@@ -95,6 +102,8 @@ def test_decompose_examples():
     parts = decompose(two, (2, 2), 2)
     assert parts is not None and len(parts) == 2
     assert decompose(two, (2, 1), 2) is None  # value 3 < 2L = 4
+    # a point with a negative entry lies in no up-closed set of N^n
+    assert decompose(spec, (-1, 9), 1) is None
 
 
 def test_decompose_returns_verified_parts():
@@ -126,6 +135,117 @@ def test_decompose_agrees_with_exhaustive_split_search():
             for a in box_enumerate(tuple(min(2 * v, 8) for v in lam)):
                 found = decompose(spec, a, p) is not None
                 assert found == split_oracle(spec, a, p), (lam, a, p)
+
+
+@given(st.data())
+def test_split_matches_brute_force_over_part_multisets(data):
+    """``decompose`` splits a into k parts iff some k closure generators
+    sum to a point below a; its parts are k - 1 closure generators and a
+    rest in the closure set, and they sum to a."""
+    lam = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    spec = LambdaSpec(lam)
+    gens = ilambda_generators(spec).generators
+    k = data.draw(st.integers(1, 4))
+    # a sum of k generators, sometimes moved off it, so both answers occur
+    picks = data.draw(st.lists(st.sampled_from(gens), min_size=k, max_size=k))
+    i = data.draw(st.integers(0, len(lam) - 1))
+    shift = data.draw(st.sampled_from((0, 1, -1)))
+    a = tuple(max(0, sum(c) + shift * (j == i)) for j, c in enumerate(zip(*picks)))
+    found = decompose(spec, a, k)
+    brute = any(
+        all(map(operator.le, map(sum, zip(*combo)), a))
+        for combo in itertools.combinations_with_replacement(gens, k)
+    )
+    assert (found is not None) == brute
+    if found is not None:
+        assert len(found) == k and all(g in gens for g in found[:-1])
+        assert omega_dot(spec, found[-1]) >= spec.L
+        assert tuple(map(sum, zip(*found))) == a
+
+
+def test_split_examples():
+    # lambda = (2, 2): omega = (1, 1), L = 2, generators (2,0), (1,1), (0,2)
+    spec = LambdaSpec((2, 2))
+    assert decompose(spec, (1, 1), 2) is None
+    # the first generator in the ideal's order under which the rest splits
+    assert decompose(spec, (2, 2), 2) == ((2, 0), (0, 2))
+    assert decompose(spec, (3, 1), 2) == ((2, 0), (1, 1))
+    assert decompose(spec, (1, 1), 1) == ((1, 1),)
+    # lambda = (2, 3, 4): omega = (6, 4, 3), L = 12.  The first generator
+    # under (1, 3, 2), (1, 2, 0), weighs 14 > L, leaves a rest of weight
+    # 10 < L and is backed out of
+    spec = LambdaSpec((2, 3, 4))
+    gens = ilambda_generators(spec).generators
+    assert next(g for g in gens if all(map(operator.le, g, (1, 3, 2)))) == (1, 2, 0)
+    assert decompose(spec, (1, 3, 2), 2) == ((1, 0, 2), (0, 3, 0))
+
+
+def recursive_split(a, k, parts, fits, memo):
+    """The split search that recursed down to a one-part split, over
+    ``parts`` and pruned by ``fits(v, j)``, kept here as the reference of
+    ``decompose``'s inline last-part test."""
+    key = (a, k)
+    if key in memo:
+        return memo[key]
+    result = None
+    if fits(a, k):
+        if k == 1:
+            result = (a,)
+        else:
+            for g in parts:
+                if all(x <= y for x, y in zip(g, a)):
+                    v = tuple(y - x for x, y in zip(g, a))
+                    rest = recursive_split(v, k - 1, parts, fits, memo)
+                    if rest is not None:
+                        result = (g,) + rest
+                        break
+    memo[key] = result
+    return result
+
+
+@given(st.data())
+def test_split_matches_recursive_reference(data):
+    """At k = 2 and 3, ``decompose`` finds the reference's first-fit split
+    over the closure generators pruned by ``omega_dot``, or none.  On a
+    facet point, of weight kL, it finds the exact first-fit split over the
+    facet betas, the generators of weight L, and ``express_on_facet``
+    writes the point through the facet split of its rest modulo lam."""
+    lam = data.draw(st.lists(st.integers(1, 7), min_size=2, max_size=4))
+    spec = LambdaSpec(lam)
+    L, gens = spec.L, ilambda_generators(spec).generators
+    k = data.draw(st.sampled_from((2, 3)))
+    if data.draw(st.sampled_from(("lambda", "rees"))) == "lambda":
+        fits = lambda v, j: omega_dot(spec, v) >= j * L  # noqa: E731
+        for _ in range(data.draw(st.integers(1, 6))):
+            # a sum of k parts, sometimes moved up one, or a point of the box
+            if data.draw(st.booleans()):
+                picks = data.draw(st.lists(st.sampled_from(gens), min_size=k, max_size=k))
+                shift = data.draw(st.sampled_from([0] + [1 << i for i in range(spec.n)]))
+                a = tuple(sum(c) + (shift >> i & 1) for i, c in enumerate(zip(*picks)))
+            else:
+                a = tuple(data.draw(st.integers(0, k * x)) for x in lam)
+            assert decompose(spec, a, k) == recursive_split(a, k, gens, fits, {})
+        return
+    facet = tuple(g for g in gens if omega_dot(spec, g) == L)
+    exact = lambda v, j: j > 1 or v in facet  # noqa: E731
+    moves = set(j_ideal(spec).generators)
+    S = ReesSemigroup(spec)
+    for _ in range(data.draw(st.integers(1, 6))):
+        # a sum of k facet betas, so (a, k) lies on the sigma facet
+        picks = data.draw(st.lists(st.sampled_from(facet), min_size=k, max_size=k))
+        a = tuple(map(sum, zip(*picks)))
+        assert decompose(spec, a, k) == recursive_split(a, k, facet, exact, {})
+        rest = tuple(x % v for x, v in zip(a, lam))
+        d = omega_dot(spec, rest) // L
+        parts = recursive_split(rest, d, facet, exact, {}) if d else ()
+        combo = express_on_facet(S, a + (k,))
+        if parts is None:
+            assert combo is None
+        else:
+            # the (lam_i e_i, 1) moves carry the quotient of a by lam, and
+            # no part of the rest reaches lam_i e_i
+            got = [(g, c) for g, c in combo if g[:-1] not in moves]
+            assert got == sorted(Counter(b + (1,) for b in parts).items(), reverse=True)
 
 
 def reference_normality_scan(spec):
@@ -204,6 +324,48 @@ def test_decompose_validation():
         decompose(spec, (1, 1), 0)
     with pytest.raises(Exception):
         decompose(spec, (1, 1, 1), 1)
+    # the part count is taken exactly, like an exponent
+    for p, v in ((2.0, 2), ("2", 2), (Fraction(4, 2), 2), (True, 1)):
+        assert decompose(spec, (2, 3), p) == decompose(spec, (2, 3), v)
+    for p in (2.5, Fraction(5, 2), "x", math.nan, math.inf, None):
+        with pytest.raises(ValueError) as info:
+            decompose(spec, (2, 3), p)
+        assert str(info.value) == f"part count must be an integer, got {p!r}"
+
+
+def split_corpus():
+    """``decompose`` at p = 1..4 on boxes reaching one below zero,
+    ``express_on_facet`` on every facet point of a box around the open
+    box, and ``grp_facet_check`` at radius 2 on every sorted tuple of
+    small ones, one repr per answer."""
+    lines = []
+    for lam in ((2, 2), (2, 3), (3, 4), (2, 2, 3), (2, 3, 4), (2, 3, 7), (3, 4, 5, 6)):
+        spec = LambdaSpec(lam)
+        S = ReesSemigroup(spec)
+        box = [range(-1, min(2 * v, 7) + 1) for v in lam]
+        for p in range(1, 5):
+            for a in itertools.product(*box):
+                lines.append(repr((lam, p, a, decompose(spec, a, p))))
+        for a in itertools.product(*(range(-v, 2 * v) for v in lam)):
+            d, r = divmod(omega_dot(spec, a), spec.L)
+            if r == 0:
+                lines.append(repr((lam, a, d, express_on_facet(S, a + (d,)))))
+    for n, top in ((1, 12), (2, 12), (3, 6), (4, 4)):
+        for lam in itertools.combinations_with_replacement(range(1, top + 1), n):
+            S = ReesSemigroup(LambdaSpec(lam))
+            lines.append(repr((lam, grp_facet_check(S, 2))))
+    return lines
+
+
+def test_split_corpus_is_pinned():
+    """The split answers on ``split_corpus``, pinned when ``decompose``
+    and the Rees facet split still ran as two searches."""
+    lines = split_corpus()
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (
+        29398,
+        "87a7104d84741723135b58d3eae63f747f91ca9c43a64af3c48e078f2f09fe4f",
+    )
 
 
 def test_normality_fast_paths_and_witness():

@@ -26,8 +26,9 @@ from monideal import (
     parse_vector,
 )
 from monideal.ilambda import column_floor, decompose, ilambda_generators
-from monideal.lattice import any_below, minimal_points, split
+from monideal.lattice import any_below, minimal_points
 from monideal.newton import INSIDE, integral_closure, power
+from monideal.oracles import omega_dot
 from monideal.rees import express_on_facet
 
 from conftest import pairwise_minimal
@@ -330,7 +331,7 @@ def test_taking_k_points_stops_the_floor_calls_at_the_kth_column(data):
 @given(st.data())
 def test_lambda_column_floor_is_the_climb(data):
     """The closed-form floor of omega . a >= jL gives, on every column and
-    every cap, the height a climb over ``fits`` stops at; the box is the
+    every cap, the height a climb over ``omega_dot`` stops at; the box is the
     closed one below lam or the open one, whose bounds may be zero."""
     n = data.draw(st.integers(1, 5))
     lam = data.draw(st.lists(st.integers(1, 12 // n + 1), min_size=n, max_size=n))
@@ -339,7 +340,7 @@ def test_lambda_column_floor_is_the_climb(data):
     *cols, top = (v - shrink for v in lam)
     for j in range(1, n + 1):
         floor = column_floor(spec, j)
-        reference = climb(lambda a: spec.fits(a, j))
+        reference = climb(lambda a: omega_dot(spec, a) >= j * spec.L)
         for col in itertools.product(*(range(b + 1) for b in cols)):
             for cap in range(top + 2):
                 assert floor(col, cap) == reference(col, cap), (col, cap, j)
@@ -399,90 +400,6 @@ def test_newton_column_floor_runs_the_climbs_lps(data):
         assert closure == MonomialIdeal.from_antichain(dim, reference)
         assert jumping.asked == climbing.asked
         assert jumping._cuts == climbing._cuts
-
-
-def exact(parts):
-    """The exact split predicate: only the last part is tested, and it
-    must be one of the parts."""
-    return lambda v, j: j > 1 or v in parts
-
-
-@given(st.lists(vec3, min_size=1, max_size=5, unique=True), st.integers(1, 4), st.data())
-def test_split_matches_brute_force_over_part_multisets(parts, k, data):
-    # a sum of k parts, sometimes moved off it, so both answers occur
-    picks = data.draw(st.lists(st.sampled_from(parts), min_size=k, max_size=k))
-    shift = data.draw(st.sampled_from(((0, 0, 0), (1, 0, 0), (0, 0, -1))))
-    a = tuple(max(0, sum(col) + s) for col, s in zip(zip(*picks), shift))
-    found = split(a, k, parts, exact(parts))
-    brute = any(
-        tuple(map(sum, zip(*combo))) == a
-        for combo in itertools.combinations_with_replacement(parts, k)
-    )
-    assert (found is not None) == brute
-    if found is not None:
-        assert len(found) == k and all(g in parts for g in found)
-        assert tuple(map(sum, zip(*found))) == a
-
-
-def test_split_examples():
-    parts = ((2, 0), (1, 1), (0, 2))
-    assert split((1, 1), 2, parts, exact(parts)) is None
-    # the first part in the given order under which the rest splits
-    assert split((2, 2), 2, parts, exact(parts)) == ((2, 0), (0, 2))
-    assert split((3, 1), 2, parts, exact(parts)) == ((2, 0), (1, 1))
-    assert split((1, 1), 1, parts, exact(parts)) == ((1, 1),)
-    # a first part that fits but leaves no split is backed out of
-    parts = ((1, 0), (2, 0), (0, 1))
-    assert split((2, 1), 2, parts, exact(parts)) == ((2, 0), (0, 1))
-    # fits prunes: nothing past a false fits(a, k) is searched
-    assert split((2, 2), 2, parts, lambda v, j: False) is None
-
-
-def recursive_split(a, k, parts, fits, memo):
-    """The split search that recursed down to a one-part split, kept here
-    as the reference of ``split``'s inline last-part test."""
-    key = (a, k)
-    if key in memo:
-        return memo[key]
-    result = None
-    if fits(a, k):
-        if k == 1:
-            result = (a,)
-        else:
-            for g in parts:
-                if all(x <= y for x, y in zip(g, a)):
-                    v = tuple(y - x for x, y in zip(g, a))
-                    rest = recursive_split(v, k - 1, parts, fits, memo)
-                    if rest is not None:
-                        result = (g,) + rest
-                        break
-    memo[key] = result
-    return result
-
-
-@given(st.data())
-def test_split_matches_recursive_reference(data):
-    """At k = 2 and 3, ``split`` finds the reference's first-fit split,
-    or none, with the lambda route's ``fits`` over the closure generators
-    and with the rees route's exact ``fits`` over the facet betas."""
-    lam = data.draw(st.lists(st.integers(1, 7), min_size=2, max_size=4))
-    spec = LambdaSpec(lam)
-    if data.draw(st.sampled_from(("lambda", "rees"))) == "lambda":
-        parts, fits = ilambda_generators(spec).generators, spec.fits
-    else:
-        S = ReesSemigroup(spec)
-        facet = frozenset(S.facet_betas)
-        parts, fits = S.facet_betas, lambda v, j: j > 1 or v in facet
-    k = data.draw(st.sampled_from((2, 3)))
-    for _ in range(data.draw(st.integers(1, 6))):
-        # a sum of k parts, sometimes moved up one, or a point of the box
-        if data.draw(st.booleans()):
-            picks = data.draw(st.lists(st.sampled_from(parts), min_size=k, max_size=k))
-            shift = data.draw(st.sampled_from([0] + [1 << i for i in range(len(lam))]))
-            a = tuple(sum(c) + (shift >> i & 1) for i, c in enumerate(zip(*picks)))
-        else:
-            a = tuple(data.draw(st.integers(0, k * x)) for x in lam)
-        assert split(a, k, parts, fits) == recursive_split(a, k, parts, fits, {})
 
 
 def test_ideal_rejects_bad_input():

@@ -1,5 +1,6 @@
-"""The brute-force layer lives in ``oracles`` alone: the production
-modules neither import it nor keep a copy of its helpers."""
+"""The production modules import one another along a fixed graph, and
+the brute-force layer lives in ``oracles`` alone: the production modules
+neither import it nor keep a copy of its helpers."""
 
 import ast
 import importlib
@@ -10,7 +11,17 @@ import pytest
 import monideal
 from monideal import oracles
 
-PRODUCTION = ("lattice", "newton", "ilambda", "monoid", "rees")
+# the package modules each production module imports: lattice is the base
+# layer and imports none, so no pure-power code can move back into it
+IMPORT_GRAPH = {
+    "lattice": set(),
+    "newton": {"lattice"},
+    "ilambda": {"lattice"},
+    "monoid": {"ilambda", "lattice"},
+    "rees": {"ilambda", "lattice", "monoid"},
+}
+PRODUCTION = tuple(IMPORT_GRAPH)
+MODULES = {path.stem for path in Path(monideal.__file__).parent.glob("*.py")}
 ORACLE_HELPERS = {"box_enumerate", "le_pr", "vec_scale", "dot", "in_gamma", "omega_dot"}
 
 
@@ -31,6 +42,23 @@ def _imported_names(tree: ast.Module) -> set[str]:
     return found
 
 
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules the module's import statements name, relative
+    (``from .x import y``, ``from . import x``) or absolute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = f"monideal.{base}".rstrip(".")
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    inside = {name.split(".")[1] for name in found if name.startswith("monideal.")}
+    return inside & MODULES
+
+
 def _bound_names(tree: ast.Module) -> set[str]:
     """Names of every function, method and class defined anywhere in the
     module, plus every name an import binds."""
@@ -41,6 +69,11 @@ def _bound_names(tree: ast.Module) -> set[str]:
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             found.update(alias.asname or alias.name for alias in node.names)
     return found
+
+
+@pytest.mark.parametrize("name", PRODUCTION)
+def test_production_import_graph(name):
+    assert _package_imports(_tree(name)) == IMPORT_GRAPH[name], name
 
 
 @pytest.mark.parametrize("name", PRODUCTION)

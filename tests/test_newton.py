@@ -100,6 +100,11 @@ def test_as_rational_point_coerces_to_exact_fractions():
         with pytest.raises(ValueError) as info:
             newton.as_rational_point((1, bad))
         assert str(info.value) == message
+    # Fraction raises OverflowError on an infinity, and nan is no rational
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError) as info:
+            newton.as_rational_point((1, bad))
+        assert str(info.value) == f"query points must be rational, got {(1, bad)}"
     poly = NewtonPolyhedron(parse_ideal("2,0;0,2"))
     for ones in (((1, 1), (Fraction(1), Fraction(1)), ("1", "1")),
                  ((1, 0), (Fraction(1), Fraction(0)), ("1", "0"))):
