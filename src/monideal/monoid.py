@@ -9,10 +9,12 @@ the default window and the window's coins and failure test all read
 this one bitset.
 
 Quasinormality asks that each element s >= L split into floor(s/L)
-parts that each stay >= L; this module decides it on a finite window,
-which refutes quasinormality definitively but confirms it only on the
-window.  The one-element version (does L + 1 split, i.e. lie in M?)
-is the almost-quasinormal test that feeds the Rees-algebra criterion.
+parts that each stay >= L.  This module checks it on a finite window
+[L, bound], and any bound >= max(L, c + L - 1) decides it exactly: the
+least failure, if there is one, lies below c + L (proved in
+``quasinormal_window``), and the default bound is such a bound.  The
+one-element version (does L + 1 split, i.e. lie in M?) is the
+almost-quasinormal test that feeds the Rees-algebra criterion.
 """
 
 from __future__ import annotations
@@ -85,7 +87,13 @@ def _monoid(spec: LambdaSpec) -> tuple[int, int]:
 
 
 def in_M(spec: LambdaSpec, s: int) -> bool:
-    """Membership of the integer s in the scaled monoid."""
+    """Membership of the integer s in the scaled monoid.  s is taken
+    exactly, through ``lattice.as_vec``: 43.0 is 43, and 44.5, nan and
+    inf raise ValueError."""
+    try:
+        (s,) = as_vec((s,))
+    except (TypeError, ValueError):
+        raise ValueError(f"monoid element must be an integer, got {s!r}") from None
     member, c = _monoid(spec)
     return s >= 0 and (s >= c or bool(member >> s & 1))
 
@@ -104,7 +112,9 @@ def conductor(spec: LambdaSpec) -> int:
 
 
 def default_window_bound(spec: LambdaSpec) -> int:
-    """The default verification window: max(4nL, 2(L + conductor))."""
+    """The default verification window: max(4nL, 2(L + conductor)).  It
+    is at least max(L, L + conductor - 1), so the window decides
+    quasinormality exactly (see ``quasinormal_window``)."""
     return max(4 * spec.n * spec.L, 2 * (spec.L + conductor(spec)))
 
 
@@ -134,8 +144,22 @@ def quasinormal_window(spec: LambdaSpec, bound: int | None = None) -> WindowVerd
     the first kept gap with p*L + e in M; a gap drops out once p*L + e
     passes the bound.  A gap kept at level p has p*L + e below the
     conductor, so the last level starts within L of the conductor or the
-    bound, whichever is less: the cost does not grow with the bound.  A failure refutes quasinormality
-    outright; a clean window only confirms it up to the bound.
+    bound, whichever is less: the cost does not grow with the bound.
+
+    Any bound >= max(L, c + L - 1), c the conductor, decides
+    quasinormality exactly, and so does the default bound,
+    max(4nL, 2(L + c)).  Write R_p for the sums of at most p coins of E,
+    so that s = p*L + e splits iff e is in R_p, and let s = p*L + e be
+    the least failure.  Then p >= 2: a member L + e has e = 0 or e in E,
+    and is its own one-part split.  Take s' = (p-1)*L + e.  At p = 2,
+    s' = L + e is not in M, since e is neither 0 nor in E.  At p >= 3,
+    s' in M would make s' a smaller failure, since e is not in R_(p-1),
+    a subset of R_p.  So s' is not in M, s' < c, and s < c + L.  The
+    scan reports the first failure in increasing s, so any bound
+    >= c + L - 1 gives the answer of an unbounded window, and a bound
+    >= L keeps the window from being vacuous when c = 0.  A clean window
+    at such a bound proves quasinormality; a failure refutes it at any
+    bound.
     """
     L = spec.L
     if bound is None:

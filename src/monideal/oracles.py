@@ -159,13 +159,14 @@ def max_parts_table(monoid: LambdaSpec, bound: int) -> list[int]:
 
 def window_split_oracle(monoid: LambdaSpec, bound: int) -> tuple[int, int] | None:
     """First (s, p) in [L, bound] with s in the monoid but maxParts(s)
-    below p = floor(s/L), or None if the window is clean."""
+    below p = floor(s/L), or None if the window is clean.  For s >= L,
+    maxParts(s) >= 1 iff s is in the monoid: s is its own one-part
+    split, and a sum of members is a member."""
     L = monoid.L
     if bound < L:
         return None
-    member = membership_table(monoid.omega, bound)
     table = max_parts_table(monoid, bound)
     for s in range(L, bound + 1):
-        if member[s] and table[s] < s // L:
+        if 0 < table[s] < s // L:
             return s, s // L
     return None

@@ -23,7 +23,7 @@ from monideal import (
     WindowVerdict,
     quasinormal_window,
 )
-from monideal.oracles import max_parts_table, window_split_oracle
+from monideal.oracles import max_parts_table, normality_oracle, window_split_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -74,6 +74,18 @@ def test_membership_examples():
     # the coin check that drives the (2,3,7) story: 43 is not reachable
     assert not in_M(mon(2, 3, 7), 43)
     assert in_M(mon(2, 3, 7), 44)
+
+
+@pytest.mark.parametrize("s, member", [(43.0, False), ("44", True), (True, False), (44, True)])
+def test_membership_takes_exact_elements(s, member):
+    assert in_M(mon(2, 3, 7), s) is member
+
+
+@pytest.mark.parametrize("s", [44.5, float("nan"), float("inf"), "x", None])
+def test_membership_refuses_inexact_elements(s):
+    """44.5 lies past the conductor 44 of (2,3,7) but is no member."""
+    with pytest.raises(ValueError, match=repr(s)):
+        in_M(mon(2, 3, 7), s)
 
 
 def test_membership_table_validation():
@@ -127,6 +139,15 @@ def test_conductor_examples():
     assert conductor(mon(2, 3, 5, 7, 11, 13, 17)) == 2346894
 
 
+def sorted_tuples(*sweeps):
+    """Every sorted tuple of each n x k sweep: n entries from 1 to k."""
+    for n, k in sweeps:
+        yield from itertools.combinations_with_replacement(range(1, k + 1), n)
+
+
+SMALL_SWEEPS = ((3, 24), (4, 14), (5, 9))
+
+
 def test_conductor_digest_of_small_sweeps():
     """The conductor of every sorted tuple of 3x24, 4x14 and 5x9, pinned
     by digest.  A sweep CSV never shows it: there the default bound is
@@ -134,12 +155,11 @@ def test_conductor_digest_of_small_sweeps():
     of M must double its top past 2L before its last m bits are all set."""
     lines = []
     past_2l = 0
-    for n, k in ((3, 24), (4, 14), (5, 9)):
-        for lam in itertools.combinations_with_replacement(range(1, k + 1), n):
-            spec = LambdaSpec(lam)
-            c = conductor(spec)
-            lines.append(f"{lam}:{c}\n")
-            past_2l += c > 2 * spec.L - min(spec.omega)
+    for lam in sorted_tuples(*SMALL_SWEEPS):
+        spec = LambdaSpec(lam)
+        c = conductor(spec)
+        lines.append(f"{lam}:{c}\n")
+        past_2l += c > 2 * spec.L - min(spec.omega)
     assert (len(lines), past_2l) == (6267, 153)
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()
     assert digest == "1f1a80aea91f894cb11f5773e6dc1c9a942f13768cb65b6dc923bfc35022cb7d"
@@ -220,6 +240,54 @@ def test_bitset_routes_match_apery_reference(lam):
     c = conductor(spec)
     assert c == max(ap) - m + 1
     assert [in_M(spec, s) for s in range(c + m + 1)] == [s >= ap[s % m] for s in range(c + m + 1)]
+
+
+def test_default_window_decides_quasinormality():
+    """Any bound >= max(L, c + L - 1) gives the answer of an unbounded
+    window, since the least failure s = pL + e has (p-1)L + e outside M
+    and so s < c + L; the default bound is such a bound.  On the 6267
+    tuples of 3x24, 4x14 and 5x9 (526 of them with c = 0), the default,
+    least and unbounded windows give one status and witness, and each of
+    the 1203 failures obeys the proof's bound."""
+    tuples = failures = 0
+    for lam in sorted_tuples(*SMALL_SWEEPS):
+        spec = LambdaSpec(lam)
+        L, c = spec.L, conductor(spec)
+        verdicts = {
+            (v.status, v.witness)
+            for v in (quasinormal_window(spec, b) for b in (None, max(L, c + L - 1), 10**30))
+        }
+        assert len(verdicts) == 1, lam
+        ((status, witness),) = verdicts
+        assert status != VACUOUS, lam
+        tuples += 1
+        if witness is not None:
+            failures += 1
+            s, p = witness
+            assert s < c + L and not in_M(spec, s - L), lam
+    assert (tuples, failures) == (6267, 1203)
+
+
+def test_window_split_oracle_decides_at_the_least_exact_bound():
+    """The brute-force oracle at bound max(L, c + L - 1) against the
+    default window, on the 369 sorted tuples of 2x12, 3x9 and 4x6."""
+    for lam in sorted_tuples((2, 12), (3, 9), (4, 6)):
+        spec = LambdaSpec(lam)
+        bound = max(spec.L, conductor(spec) + spec.L - 1)
+        assert window_split_oracle(spec, bound) == quasinormal_window(spec).witness, lam
+
+
+def test_quasinormality_does_not_imply_normality():
+    """(5,6,16), the tuple of 3x24 with the least L among those that are
+    quasinormal but not normal, L = 240 and c = 258, on both routes:
+    its closure fails to be normal at p = 2, and its default window and
+    the oracle at bound c + L - 1 = 497 both find no failure."""
+    spec = mon(5, 6, 16)
+    assert (spec.L, conductor(spec)) == (240, 258)
+    assert is_normal_lambda(spec).witness == (2, (4, 5, 6))
+    assert normality_oracle(spec) == (2, (4, 5, 6))
+    assert quasinormal_window(spec) == WindowVerdict(QUASINORMAL_ON_WINDOW, None, 2880)
+    assert window_split_oracle(spec, 497) is None
 
 
 def test_window_cost_does_not_grow_with_the_bound():
