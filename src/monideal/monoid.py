@@ -6,7 +6,8 @@ M is held as one int bitset, computed once per LambdaSpec and kept on
 it: bit s is set iff s lies in M, for every s below a top that runs past
 the conductor c, and every s >= c lies in M.  Membership, the conductor,
 the default window and the window's coins and failure test all read
-this one bitset.
+this one bitset; single bits, as membership and the failure test ask
+for them, are read from its bytes at constant cost.
 
 Quasinormality asks that each element s >= L split into floor(s/L)
 parts that each stay >= L.  This module checks it on a finite window
@@ -25,6 +26,8 @@ from collections.abc import Sequence
 
 from .ilambda import LambdaSpec
 from .lattice import as_vec
+
+_ONE = re.compile("1")
 
 QUASINORMAL_ON_WINDOW = "quasinormal-on-window"
 FAILURE = "failure"
@@ -57,9 +60,11 @@ def membership_table(generators: Sequence[int], bound: int) -> list[bool]:
     return table
 
 
-def _monoid(spec: LambdaSpec) -> tuple[int, int]:
-    """(member, c): bit s of member is set iff s is in M, for 0 <= s < top,
-    and c is the conductor, with c <= top - m for m = min(omega).
+def _monoid(spec: LambdaSpec) -> tuple[int, int, bytes]:
+    """(member, c, view): bit s of member is set iff s is in M, for
+    0 <= s < top, c is the conductor, with c <= top - m for
+    m = min(omega), and view is member as little-endian bytes, so that
+    bit s is view[s >> 3] >> (s & 7) & 1, one read at constant cost.
     Computed on the first call and kept on the spec.
 
     {0} is closed under each omega_i by doubling, so member gains the
@@ -82,7 +87,9 @@ def _monoid(spec: LambdaSpec) -> tuple[int, int]:
             if member >> (top - m) == (1 << m) - 1:
                 break
             top += top
-        object.__setattr__(spec, "_monoid", (member, (~member & mask).bit_length()))
+        c = (~member & mask).bit_length()
+        view = member.to_bytes((top + 7) // 8, "little")
+        object.__setattr__(spec, "_monoid", (member, c, view))
     return spec._monoid
 
 
@@ -94,8 +101,8 @@ def in_M(spec: LambdaSpec, s: int) -> bool:
         (s,) = as_vec((s,))
     except (TypeError, ValueError):
         raise ValueError(f"monoid element must be an integer, got {s!r}") from None
-    member, c = _monoid(spec)
-    return s >= 0 and (s >= c or bool(member >> s & 1))
+    _, c, view = _monoid(spec)
+    return s >= 0 and (s >= c or bool(view[s >> 3] >> (s & 7) & 1))
 
 
 def almost_quasinormal(spec: LambdaSpec) -> bool:
@@ -134,15 +141,27 @@ def quasinormal_window(spec: LambdaSpec, bound: int | None = None) -> WindowVerd
     the split exists iff the excess e is a sum of at most p elements of
     E = {1 <= e < L : L + e in M}, with repetition.  Every e in E is one
     such coin, so only the gaps of E need more.  Level p keeps the gaps
-    that are no sum of at most p coins: a gap leaves it when e - j lies
-    in E for some sum j of at most p - 1 coins, which is one AND of two
-    int bitsets per gap per level.  E and its gaps are read off the
-    bitset of M between L and 2L; level 2 finds the gaps one at a time,
-    so a window that fails at its first gaps never lists the rest.  Past
-    2L, p*L + e is in M iff it reaches the conductor or its bit is set.
-    The scan goes p-major, e ascending, i.e. in increasing s, and reports
-    the first kept gap with p*L + e in M; a gap drops out once p*L + e
-    passes the bound.  A gap kept at level p has p*L + e below the
+    that are no sum of at most p coins: a gap e leaves it when e - j is a
+    sum of at most p - 1 coins for some coin j.  E and its gaps are read
+    off the bitset of M between L and 2L, and each level holds its
+    pending gaps as one int bitset; a gap drops out once p*L + e passes
+    the bound.  Past 2L, p*L + e is in M iff it reaches the conductor or
+    its bit is set.
+
+    Each level first sweeps its smallest coins over all its gaps at once:
+    coin j, ascending, clears every gap with e - j among the sums of at
+    most p - 1 coins, one shift and AND of the whole bitset.  The sweep
+    stops when no gap is left, when the lowest gap left is below j (no
+    larger coin splits it either), or when it has tried as many coins as
+    gaps are left, since from there one test per gap costs no more.  The
+    gaps left are then tested one at a time, ascending, each against all
+    coins with one AND of two int bitsets.  The sweep clears only gaps
+    that the per-gap test would split too, so the level keeps the same
+    gaps and reports the same first failure: the scan goes p-major, e
+    ascending, i.e. in increasing s, and reports the first kept gap with
+    p*L + e in M.  A window whose first gap lies below its first coin,
+    as a window that fails at its first gaps mostly does, goes straight
+    to the per-gap tests.  A gap kept at level p has p*L + e below the
     conductor, so the last level starts within L of the conductor or the
     bound, whichever is less: the cost does not grow with the bound.
 
@@ -166,38 +185,47 @@ def quasinormal_window(spec: LambdaSpec, bound: int | None = None) -> WindowVerd
         bound = default_window_bound(spec)
     if bound < L:
         return WindowVerdict(VACUOUS, None, bound)
-    member, c = _monoid(spec)
+    member, c, view = _monoid(spec)
     # reach: the sums of at most p-1 coins, with 0; at level 2, the e
-    # with L + e in M.  flags[e] == "0" iff e is a gap, and bit L-1-d of
-    # coins_rev is set iff L + d is in M, so bit j of coins_rev >> (L-1-e)
-    # is set iff e - j is a coin (j = e meets reach's bit e, which a gap
-    # never has, so the stray coin 0 splits nothing)
+    # with L + e in M.  flags[e] == "1" iff e is 0 or a coin, and bit
+    # L-1-d of coins_rev is set iff L + d is in M, so bit j of
+    # coins_rev >> (L-1-e) is set iff e - j is a coin (j = e meets
+    # reach's bit e, which a gap never has, so the stray coin 0 splits
+    # nothing, and the sweep skips it)
     reach = (member >> L) & ((1 << L) - 1)
     flags = format(reach, f"0{L}b")[::-1]
     coins_rev = int(flags, 2)
-    # the gaps of level 1, ascending, found one at a time: a window that
-    # fails at its first gaps never looks at the rest
-    pending = map(re.Match.start, re.finditer("0", flags))
+    pending = reach ^ ((1 << L) - 1)  # the gaps of level 1, as a bitset
     p = 1  # level 1 cannot fail: L + e is not in M for a gap e
-    while True:
+    while pending:
         p += 1
         base = p * L
-        kept = []
-        split = 0  # gaps that are sums of exactly p coins
-        for e in pending:
-            s = base + e
-            if s > bound:
-                break  # past the bound at every later level too
+        if bound - base < L:
+            # a gap past the bound stays past it at every later level
+            pending &= (1 << max(bound - base + 1, 0)) - 1
+        # the coin sweep: each coin j, ascending, splits at once every
+        # pending gap e with e - j in reach
+        rest, tried = pending, 0
+        for match in _ONE.finditer(flags, 1):
+            j = match.start()
+            if not rest or rest & ((2 << j) - 1) or tried >= rest.bit_count():
+                break
+            rest &= ~(reach << j)
+            tried += 1
+        kept = 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            e = low.bit_length() - 1
             if (coins_rev >> (L - 1 - e)) & reach:
-                split |= 1 << e
-            elif s >= c or member >> s & 1:
+                continue
+            s = base + e
+            if s >= c or view[s >> 3] >> (s & 7) & 1:
                 return WindowVerdict(FAILURE, (s, p), bound)
-            else:
-                kept.append(e)
-        if not kept:
-            break
-        # reach grows only after the whole level, so it stays the sums of
-        # at most p-1 coins while the level is read
-        reach |= split
+            kept |= 1 << e
+        # reach gains the gaps split at this level (pending is split and
+        # kept) only after the whole level, so it stays the sums of at
+        # most p-1 coins while the level is read
+        reach |= pending ^ kept
         pending = kept
     return WindowVerdict(QUASINORMAL_ON_WINDOW, None, bound)

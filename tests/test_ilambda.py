@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import itertools
 import json
@@ -285,6 +286,47 @@ def test_level_test_agrees_with_split_search(lam):
     witness = reference_normality_scan(spec)
     verdict = is_normal_lambda(spec, force_enumeration=True)
     assert (verdict.normal, verdict.witness) == (witness is None, witness)
+
+
+def plain_level_scan(spec):
+    """``is_normal_lambda``'s level test with every generator tried in
+    weight order at every point, before it tried the generator that
+    passed the last point first: the first failing (p, a), or None."""
+    omega, L = spec.omega, spec.L
+    weights, gens = zip(
+        *sorted((omega_dot(spec, g), g) for g in ilambda_generators(spec).generators)
+    )
+    bounds = tuple(v - 1 for v in spec.lam)
+    for p in range(2, spec.n):
+        for a in minimal_points(bounds, column_floor(spec, p)):
+            count = bisect.bisect_right(weights, omega_dot(spec, a) - (p - 1) * L)
+            if not any(all(map(operator.le, g, a)) for g in gens[:count]):
+                return p, a
+    return None
+
+
+def test_last_passing_generator_is_tried_only_when_light_enough():
+    """(2, 9, 11): the generator that passed the last point also lies
+    below (1, 7, 8), but is too heavy to be its first part, so a retry
+    without the weight guard would read the tuple as normal."""
+    verdict = is_normal_lambda(LambdaSpec((2, 9, 11)))
+    assert (verdict.normal, verdict.witness) == (False, (2, (1, 7, 8)))
+    assert plain_level_scan(LambdaSpec((2, 9, 11))) == (2, (1, 7, 8))
+
+
+def test_level_test_agrees_with_plain_level_scan():
+    """The first-try order changes no verdict or witness, on every sorted
+    tuple of 3x14 and 4x9 and on each one reversed, where the last
+    coordinate, and with it the scan order, differs."""
+    for lam in itertools.chain(
+        itertools.combinations_with_replacement(range(1, 15), 3),
+        itertools.combinations_with_replacement(range(1, 10), 4),
+    ):
+        for order in (lam, lam[::-1]):
+            spec = LambdaSpec(order)
+            witness = plain_level_scan(spec)
+            verdict = is_normal_lambda(spec, force_enumeration=True)
+            assert (verdict.normal, verdict.witness) == (witness is None, witness), order
 
 
 @pytest.mark.parametrize("lift", [0, 48])

@@ -223,8 +223,8 @@ def test_conductor_beyond_the_reach_of_a_table_scan():
     assert all(table[c:]) and not table[c - 1]
 
 
-# each in_M call shifts the whole bitset, so the range costs about
-# c x top bit operations: an example near L = 10**5 takes seconds
+# the Apery reference and the range of c + m calls grow with L, so L
+# stays at most 10**5 to keep the property fast
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(1, 30), min_size=1, max_size=5).filter(lambda lam: math.lcm(*lam) <= 10**5))
 @example((13, 17, 19))
@@ -406,16 +406,19 @@ LARGE_LAMBDA_WINDOWS = {
 
 @settings(max_examples=150, deadline=None)
 @given(
-    # a clean window costs about gaps x L bit operations per level, so L
+    # the reference costs about gaps x L bit operations per level, so L
     # stays at most 10**5 to keep the property fast
     st.lists(st.integers(1, 30), min_size=1, max_size=5).filter(lambda lam: math.lcm(*lam) <= 10**5),
     st.integers(0, 10**5),
 )
 @example((3, 4, 7, 11), 1)  # bound 1849: the gap 1 reaches level 3
 @example((3, 4, 7, 11), 2)  # bound 1850: the gap 2 fails at level 2
-@example((13, 17, 19), 0)
-@example((17, 19, 23), 0)
-@example((7, 9, 11, 13), 0)
+# each way the coin sweep of a level stops
+@example((2, 3, 11), 0)  # no gap is left
+@example((17, 19, 23), 0)  # 4 coins leave 1 gap: as many coins as gaps
+@example((7, 9, 11, 13), 0)  # the lowest gap, 1, lies below the first coin
+@example((13, 17, 19), 0)  # the lowest gap, 2, lies below coin 3, after coin 1
+@example((6, 8, 11, 17), 0)  # a gap reaches level 3, where the sweep clears it
 def test_window_matches_residue_window_reference(lam, k):
     """The bitset window against the per-residue one it replaced, at
     the bounds where a level starts, ends or never stops: the same
