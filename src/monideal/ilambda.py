@@ -10,6 +10,13 @@ so membership, minimal generators, power decompositions, and the
 normality criterion reduce to integer arithmetic; the polyhedral solver
 is never needed on this path, which is what makes it an independent
 cross-check for the general one.
+
+Minimality is arithmetic too.  A point a with omega . a >= need is a
+minimal point of that set iff its slack omega . a - need is below each
+omega_i with a_i > 0: a - e_i lies in the set iff the slack is at least
+omega_i.  A box 0 <= a <= bounds is down-closed, so the minimal points
+of the set within the box are exactly its minimal points that lie in
+the box, and ``_minima`` reads them off one column at a time.
 """
 
 from __future__ import annotations
@@ -18,14 +25,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, lcm
 from operator import le, mul, sub
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .lattice import (
     Frozen,
     MonomialIdeal,
     Vec,
     as_vec,
-    minimal_points,
     parse_vector,
     require_same_dim,
 )
@@ -36,8 +42,9 @@ FORWARD_ONLY = "forward-only"
 
 class LambdaSpec(Frozen):
     """A vector of positive integers with its derived data: L = lcm and
-    omega_i = L / lambda_i, plus the closure ideal once
-    ilambda_generators has scanned for it and the int bitset of the
+    omega_i = L / lambda_i, plus, in ``_closure``, the closure ideal and
+    the weight omega . g of each generator, in the ideal's order, once
+    ilambda_generators has scanned for them, and the int bitset of the
     monoid generated by omega, with its conductor and its bytes, once a
     monoid function has built it.
 
@@ -85,19 +92,56 @@ def j_ideal(spec: LambdaSpec) -> MonomialIdeal:
     return MonomialIdeal(n, gens)
 
 
-def column_floor(spec: LambdaSpec, j: int):
-    """The ``minimal_points`` floor of omega . a >= j * L: on the column
-    c = (a_1..a_{n-1}) the least height is max(0, ceil((jL - omega'.c) /
-    omega_n)), with omega' the first n - 1 weights, capped at cap."""
-    omega, last, need = spec.omega, spec.omega[-1], j * spec.L
+def _minima(omega: Vec, need: int, bounds: Vec) -> Iterator[tuple[Vec, int]]:
+    """Each minimal point a of {a : omega . a >= need} inside the box
+    0 <= a <= bounds, ascending lex, paired with its weight omega . a.
 
-    def floor(col: Vec, cap: int) -> int:
-        # map stops at the end of col, so this is omega'.c; the floor
-        # division is -ceil((jL - omega'.c) / omega_n)
-        t = (sum(map(mul, omega, col)) - need) // last
-        return 0 if t >= 0 else min(-t, cap)
-
-    return floor
+    A point of the set is minimal iff its slack is below each omega_i
+    over its support (see the module docstring).  A column c =
+    (a_1..a_{n-1}) holds one candidate, its lowest point in the set, at
+    height t = max(0, ceil(r / omega_n)) with r = need - omega' . c: a
+    point above it has a - e_n in the set too.  At t > 0 the slack
+    t omega_n - r is below omega_n, so only the support of c is tested.
+    Along any one coordinate of c the walk stops at the first value with
+    r <= 0: the columns past it lie above that column's point of height
+    0, which is in the set.
+    """
+    if len(bounds) == 1:
+        t = max(0, -(-need // omega[0]))
+        if t <= bounds[0]:
+            yield (t,), t * omega[0]
+        return
+    *heads, wide, top = bounds
+    *head_w, row_w, last_w = omega
+    # (head, r, least) for each head with a row to walk: r = need -
+    # omega . head, least the least omega_i over its support, or, while
+    # the support is empty, a value above every omega_i and every slack
+    # of a point with that support.  Like a row, a head coordinate stops
+    # growing once r <= 0
+    rows = [((), need, max(omega) + abs(need))]
+    for b, w in zip(heads, head_w):
+        grown = []
+        for head, r, least in rows:
+            for c in range(b + 1):
+                grown.append((head + (c,), r, least))
+                if r <= 0:
+                    break
+                r -= w
+                if w < least:
+                    least = w
+        rows = grown
+    for head, r, least in rows:
+        for x in range(wide + 1):
+            if r <= 0:
+                if -r < least:
+                    yield head + (x, 0), need - r
+                break
+            t = -(-r // last_w)
+            if t <= top and t * last_w - r < least:
+                yield head + (x, t), need - r + t * last_w
+            r -= row_w
+            if row_w < least:
+                least = row_w
 
 
 def ilambda_generators(spec: LambdaSpec) -> MonomialIdeal:
@@ -106,11 +150,16 @@ def ilambda_generators(spec: LambdaSpec) -> MonomialIdeal:
     strictly dominates the axis point lam_i * e_i, which already lies in
     the set, so the scan over the closed box below lam is exhaustive.
 
-    The scan runs once per spec; later calls return the ideal it kept."""
+    The scan runs once per spec and keeps the ideal, with the weight
+    omega . g of each generator g in the ideal's order; later calls
+    return the ideal it kept."""
     if spec._closure is None:
-        mins = minimal_points(spec.lam, column_floor(spec, 1))
-        object.__setattr__(spec, "_closure", MonomialIdeal.from_antichain(spec.n, mins))
-    return spec._closure
+        # reversed, the walk's points are in descending lex, the order
+        # from_antichain keeps, so the weights stay aligned
+        gens, weights = zip(*reversed(list(_minima(spec.omega, spec.L, spec.lam))))
+        ideal = MonomialIdeal.from_antichain(spec.n, gens)
+        object.__setattr__(spec, "_closure", (ideal, weights))
+    return spec._closure[0]
 
 
 def decompose(spec: LambdaSpec, a: Iterable[int], p: int) -> tuple[Vec, ...] | None:
@@ -183,7 +232,9 @@ def is_normal_lambda(
     first failing (p, a), p outermost and a in ascending lex, is the
     witness.  Adding a - b to one part of a split of b <= a splits a, so
     it is a minimal point of omega . a >= p * L, and only those are tested,
-    as the staircase yields them: the scan stops at the first failed split.
+    in the ascending lex order ``_minima`` yields them with their weights,
+    each found by the slack test of the module docstring: the scan stops
+    at the first failed split.
 
     The levels run in order, and level p runs only once levels 2..p-1
     have passed.  Then every b with omega . b >= (p - 1) L splits into
@@ -208,16 +259,15 @@ def is_normal_lambda(
         if gcd(*spec.lam) > n - 2:
             return LambdaNormalityVerdict(True, None, "gcd")
     omega, L = spec.omega, spec.L
+    gens = ilambda_generators(spec).generators
     # ascending weight, so the generators light enough to be a first part
-    # are a prefix
-    weights, gens = zip(
-        *sorted((sum(map(mul, omega, g)), g) for g in ilambda_generators(spec).generators)
-    )
+    # are a prefix; the weights are those the closure scan kept
+    weights, gens = zip(*sorted(zip(spec._closure[1], gens)))
     bounds = tuple(v - 1 for v in spec.lam)
     last = 0  # the generator that passed the last point
     for p in range(2, n):
-        for a in minimal_points(bounds, column_floor(spec, p)):
-            count = bisect_right(weights, sum(map(mul, omega, a)) - (p - 1) * L)
+        for a, w in _minima(omega, p * L, bounds):
+            count = bisect_right(weights, w - (p - 1) * L)
             if last < count and all(map(le, gens[last], a)):
                 continue
             for last in range(count):

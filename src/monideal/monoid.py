@@ -20,14 +20,14 @@ almost-quasinormal test that feeds the Rees-algebra criterion.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from collections.abc import Sequence
 
 from .ilambda import LambdaSpec
 from .lattice import as_vec
 
-_ONE = re.compile("1")
+# _REV8[b] is the byte b with its 8 bits in reverse order
+_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 QUASINORMAL_ON_WINDOW = "quasinormal-on-window"
 FAILURE = "failure"
@@ -187,14 +187,15 @@ def quasinormal_window(spec: LambdaSpec, bound: int | None = None) -> WindowVerd
         return WindowVerdict(VACUOUS, None, bound)
     member, c, view = _monoid(spec)
     # reach: the sums of at most p-1 coins, with 0; at level 2, the e
-    # with L + e in M.  flags[e] == "1" iff e is 0 or a coin, and bit
-    # L-1-d of coins_rev is set iff L + d is in M, so bit j of
-    # coins_rev >> (L-1-e) is set iff e - j is a coin (j = e meets
-    # reach's bit e, which a gap never has, so the stray coin 0 splits
-    # nothing, and the sweep skips it)
-    reach = (member >> L) & ((1 << L) - 1)
-    flags = format(reach, f"0{L}b")[::-1]
-    coins_rev = int(flags, 2)
+    # with L + e in M, so bit e of coins is set iff e is 0 or a coin.
+    # coins_rev is coins with its L bits reversed: bit L-1-d is set iff
+    # L + d is in M, so bit j of coins_rev >> (L-1-e) is set iff e - j is
+    # a coin (j = e meets reach's bit e, which a gap never has, so the
+    # stray coin 0 splits nothing, and the sweep skips it)
+    reach = coins = (member >> L) & ((1 << L) - 1)
+    size = (L + 7) // 8
+    coins_rev = int.from_bytes(coins.to_bytes(size, "big").translate(_REV8), "little")
+    coins_rev >>= 8 * size - L
     pending = reach ^ ((1 << L) - 1)  # the gaps of level 1, as a bitset
     p = 1  # level 1 cannot fail: L + e is not in M for a gap e
     while pending:
@@ -205,11 +206,13 @@ def quasinormal_window(spec: LambdaSpec, bound: int | None = None) -> WindowVerd
             pending &= (1 << max(bound - base + 1, 0)) - 1
         # the coin sweep: each coin j, ascending, splits at once every
         # pending gap e with e - j in reach
-        rest, tried = pending, 0
-        for match in _ONE.finditer(flags, 1):
-            j = match.start()
+        rest, tried, untried = pending, 0, coins ^ 1
+        while untried:
+            low = untried & -untried
+            j = low.bit_length() - 1
             if not rest or rest & ((2 << j) - 1) or tried >= rest.bit_count():
                 break
+            untried ^= low
             rest &= ~(reach << j)
             tried += 1
         kept = 0

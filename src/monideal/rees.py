@@ -41,7 +41,8 @@ class ReesSemigroup(Frozen):
             gens.append(tuple(e))
         for beta in betas:
             gens.append(beta + (1,))
-        beta_sigmas = tuple(sum(map(mul, omega, b)) - L for b in betas)
+        # the weights omega . beta the closure scan kept beside the ideal
+        beta_sigmas = tuple(w - L for w in spec._closure[1])
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "generators", tuple(gens))

@@ -216,19 +216,19 @@ def test_sweep_rows_for_known_lambda():
 def test_sweep_row_scans_and_checks_almost_qn_once(monkeypatch):
     """One row builds the closure generators once, shared by the normality
     test and the Rees semigroup, and reads almost_qn off r1_satisfied.  The
-    normality test adds one staircase of omega.a >= 2L below lam - 1."""
+    normality test adds one walk of omega.a >= 2L below lam - 1."""
     scans, calls = [], {"almost_qn": 0}
-    scan, almost_qn = ilambda.minimal_points, monoid.almost_quasinormal
+    scan, almost_qn = ilambda._minima, monoid.almost_quasinormal
 
-    def recorded_scan(bounds, floor):
+    def recorded_scan(omega, need, bounds):
         scans.append(tuple(bounds))
-        return scan(bounds, floor)
+        return scan(omega, need, bounds)
 
     def counted_almost_qn(*args):
         calls["almost_qn"] += 1
         return almost_qn(*args)
 
-    monkeypatch.setattr(ilambda, "minimal_points", recorded_scan)
+    monkeypatch.setattr(ilambda, "_minima", recorded_scan)
     for module in (monoid, rees, cli):  # every module that binds the name
         monkeypatch.setattr(module, "almost_quasinormal", counted_almost_qn)
     row = sweep_row((2, 3, 7), None)

@@ -31,7 +31,7 @@ from monideal import (
     j_ideal,
     parse_ideal,
 )
-from monideal.ilambda import column_floor
+from monideal.ilambda import _minima
 from monideal.lattice import minimal_points
 from monideal.oracles import normality_oracle, omega_dot, split_oracle
 
@@ -249,6 +249,74 @@ def test_split_matches_recursive_reference(data):
             assert got == sorted(Counter(b + (1,) for b in parts).items(), reverse=True)
 
 
+def climb(spec, j):
+    """A ``minimal_points`` floor of omega . a >= jL that climbs each
+    column one height at a time over ``omega_dot``, up to the cap."""
+
+    def floor(col, cap):
+        t = 0
+        while t < cap and omega_dot(spec, col + (t,)) < j * spec.L:
+            t += 1
+        return t
+
+    return floor
+
+
+@given(st.data())
+def test_minima_are_the_minimal_points_of_the_climb(data):
+    """The walk yields, with their weights, the points ``minimal_points``
+    finds by climbing over ``omega_dot``, for every level j = 1..n, in the
+    closed box below lam or the open one, whose bounds may be zero."""
+    n = data.draw(st.integers(1, 5))
+    lam = data.draw(st.lists(st.integers(1, 12 // n + 1), min_size=n, max_size=n))
+    spec = LambdaSpec(lam)
+    shrink = data.draw(st.sampled_from((0, 1)))
+    bounds = tuple(v - shrink for v in lam)
+    for j in range(1, n + 1):
+        walked = list(_minima(spec.omega, j * spec.L, bounds))
+        assert [a for a, _ in walked] == list(minimal_points(bounds, climb(spec, j))), j
+        assert all(w == omega_dot(spec, a) for a, w in walked), j
+
+
+@given(
+    st.lists(st.integers(1, 9), min_size=1, max_size=4).flatmap(
+        lambda omega: st.tuples(
+            st.just(tuple(omega)),
+            st.integers(-5, 20),
+            st.lists(st.integers(0, 4), min_size=len(omega), max_size=len(omega)),
+        )
+    )
+)
+@example(((9, 1), 2, [1, 0]))  # (1, 0) has slack 7, above need + omega_2
+def test_minima_of_any_weights_and_threshold(case):
+    """The walk holds for any positive weights and any threshold, also
+    one below a weight or at most zero, which no closure scan asks for."""
+    omega, need, bounds = case
+
+    def floor(col, cap):
+        t = 0
+        while t < cap and sum(map(operator.mul, omega, col + (t,))) < need:
+            t += 1
+        return t
+
+    walked = list(_minima(omega, need, tuple(bounds)))
+    assert [a for a, _ in walked] == list(minimal_points(tuple(bounds), floor))
+    assert all(w == sum(map(operator.mul, omega, a)) for a, w in walked)
+
+
+def level_floor(spec, p):
+    """The ``minimal_points`` floor of omega . a >= pL in closed form: on
+    the column c the least height is max(0, ceil((pL - omega'.c) /
+    omega_n)), capped."""
+    omega, need = spec.omega, p * spec.L
+
+    def floor(col, cap):
+        t = (omega_dot(spec, col + (0,)) - need) // omega[-1]
+        return 0 if t >= 0 else min(-t, cap)
+
+    return floor
+
+
 def reference_normality_scan(spec):
     """The first (p, a), p = 2..n-1 and a a minimal point of the open box
     in ``minimal_points`` order, that ``decompose`` cannot split into p
@@ -256,7 +324,7 @@ def reference_normality_scan(spec):
     in place of its level test."""
     bounds = tuple(v - 1 for v in spec.lam)
     for p in range(2, spec.n):
-        for a in minimal_points(bounds, column_floor(spec, p)):
+        for a in minimal_points(bounds, level_floor(spec, p)):
             if decompose(spec, a, p) is None:
                 return p, a
     return None
@@ -298,7 +366,7 @@ def plain_level_scan(spec):
     )
     bounds = tuple(v - 1 for v in spec.lam)
     for p in range(2, spec.n):
-        for a in minimal_points(bounds, column_floor(spec, p)):
+        for a in minimal_points(bounds, level_floor(spec, p)):
             count = bisect.bisect_right(weights, omega_dot(spec, a) - (p - 1) * L)
             if not any(all(map(operator.le, g, a)) for g in gens[:count]):
                 return p, a

@@ -25,10 +25,9 @@ from monideal import (
     parse_ideal,
     parse_vector,
 )
-from monideal.ilambda import column_floor, decompose, ilambda_generators
+from monideal.ilambda import decompose, ilambda_generators
 from monideal.lattice import any_below, minimal_points
 from monideal.newton import INSIDE, integral_closure, power
-from monideal.oracles import omega_dot
 from monideal.rees import express_on_facet
 
 from conftest import pairwise_minimal
@@ -326,24 +325,6 @@ def test_taking_k_points_stops_the_floor_calls_at_the_kth_column(data):
     assert log[-1] == kth
     assert all(col <= kth for col in log)
     assert log == full[: len(log)]
-
-
-@given(st.data())
-def test_lambda_column_floor_is_the_climb(data):
-    """The closed-form floor of omega . a >= jL gives, on every column and
-    every cap, the height a climb over ``omega_dot`` stops at; the box is the
-    closed one below lam or the open one, whose bounds may be zero."""
-    n = data.draw(st.integers(1, 5))
-    lam = data.draw(st.lists(st.integers(1, 12 // n + 1), min_size=n, max_size=n))
-    spec = LambdaSpec(lam)
-    shrink = data.draw(st.sampled_from((0, 1)))
-    *cols, top = (v - shrink for v in lam)
-    for j in range(1, n + 1):
-        floor = column_floor(spec, j)
-        reference = climb(lambda a: omega_dot(spec, a) >= j * spec.L)
-        for col in itertools.product(*(range(b + 1) for b in cols)):
-            for cap in range(top + 2):
-                assert floor(col, cap) == reference(col, cap), (col, cap, j)
 
 
 class RecordedPolyhedron(NewtonPolyhedron):
