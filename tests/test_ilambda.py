@@ -249,13 +249,13 @@ def test_split_matches_recursive_reference(data):
             assert got == sorted(Counter(b + (1,) for b in parts).items(), reverse=True)
 
 
-def climb(spec, j):
-    """A ``minimal_points`` floor of omega . a >= jL that climbs each
-    column one height at a time over ``omega_dot``, up to the cap."""
+def climb(member):
+    """A ``minimal_points`` floor that climbs the column one height at a
+    time, asking ``member`` at each, up to the cap."""
 
     def floor(col, cap):
         t = 0
-        while t < cap and omega_dot(spec, col + (t,)) < j * spec.L:
+        while t < cap and not member(col + (t,)):
             t += 1
         return t
 
@@ -274,7 +274,8 @@ def test_minima_are_the_minimal_points_of_the_climb(data):
     bounds = tuple(v - shrink for v in lam)
     for j in range(1, n + 1):
         walked = list(_minima(spec.omega, j * spec.L, bounds))
-        assert [a for a, _ in walked] == list(minimal_points(bounds, climb(spec, j))), j
+        floor = climb(lambda a: omega_dot(spec, a) >= j * spec.L)
+        assert [a for a, _ in walked] == list(minimal_points(bounds, floor)), j
         assert all(w == omega_dot(spec, a) for a, w in walked), j
 
 
@@ -287,18 +288,12 @@ def test_minima_are_the_minimal_points_of_the_climb(data):
         )
     )
 )
-@example(((9, 1), 2, [1, 0]))  # (1, 0) has slack 7, above need + omega_2
+@example(((9, 1), 2, [1, 0]))  # (1, 0) is minimal with slack 7 > omega_2 + need
 def test_minima_of_any_weights_and_threshold(case):
     """The walk holds for any positive weights and any threshold, also
     one below a weight or at most zero, which no closure scan asks for."""
     omega, need, bounds = case
-
-    def floor(col, cap):
-        t = 0
-        while t < cap and sum(map(operator.mul, omega, col + (t,))) < need:
-            t += 1
-        return t
-
+    floor = climb(lambda a: sum(map(operator.mul, omega, a)) >= need)
     walked = list(_minima(omega, need, tuple(bounds)))
     assert [a for a, _ in walked] == list(minimal_points(tuple(bounds), floor))
     assert all(w == sum(map(operator.mul, omega, a)) for a, w in walked)
