@@ -289,6 +289,11 @@ def test_minima_are_the_minimal_points_of_the_climb(data):
     )
 )
 @example(((9, 1), 2, [1, 0]))  # (1, 0) is minimal with slack 7 > omega_2 + need
+@example(((1, 2), 9, [4, 2]))  # the row cannot reach 9 inside the box
+@example(((1, 2), 6, [4, 2]))  # the row starts at x = 2
+@example(((1, 1, 1), 7, [4, 1, 1]))  # no head reaches 7 inside the box
+@example(((1, 1, 1), 5, [4, 1, 1]))  # the heads start at 3, the first row at 1
+@example(((2, 3, 1, 5), 20, [3, 2, 4, 1]))  # heads start at (3, 2), the row at 3
 def test_minima_of_any_weights_and_threshold(case):
     """The walk holds for any positive weights and any threshold, also
     one below a weight or at most zero, which no closure scan asks for."""
@@ -378,12 +383,15 @@ def test_last_passing_generator_is_tried_only_when_light_enough():
 
 
 def test_level_test_agrees_with_plain_level_scan():
-    """The first-try order changes no verdict or witness, on every sorted
-    tuple of 3x14 and 4x9 and on each one reversed, where the last
-    coordinate, and with it the scan order, differs."""
+    """The first-try order, and the ideal's order among generators of
+    equal weight, change no verdict or witness, on every sorted tuple of
+    3x14, 4x9 and 5x5 and on each one reversed, where the last
+    coordinate, and with it the scan order, differs.  Weight ties are
+    most common with five variables."""
     for lam in itertools.chain(
         itertools.combinations_with_replacement(range(1, 15), 3),
         itertools.combinations_with_replacement(range(1, 10), 4),
+        itertools.combinations_with_replacement(range(1, 6), 5),
     ):
         for order in (lam, lam[::-1]):
             spec = LambdaSpec(order)
