@@ -269,15 +269,15 @@ def is_normal_lambda(
     level test; it is not a split test outside this loop.
 
     The generators are sorted by weight once, stably, so equal weights
-    keep the ideal's descending lex order; on the 5x10 sweep that makes
-    3.7 million tries where ascending lex ties made 8.5 million.  The
-    test tries first the generator that passed the last point, since
+    keep the ideal's descending lex order: with ties in ascending lex
+    the 5x10 sweep makes 8.5 million tries, not 3.7 million.  The test
+    tries first the generator that passed the last point, since
     consecutive minimal points are close, and finds the light enough
     prefix by bisection and searches it in weight order only when that
     fails.  The generator tried first must pass the same weight test,
     one comparison of its weight with the cap: a g <= a too heavy to be
-    a first part does not split a, and without the test (2, 9, 11)
-    would read normal, though (1, 7, 8) fails at p = 2.  Which passing
+    a first part does not split a, and without the test (2, 9, 11) would
+    read normal, though (1, 7, 8) fails at p = 2.  Which passing
     generator is found does not matter, so the verdict and witness are
     those of a search in weight order."""
     n = spec.n

@@ -386,8 +386,7 @@ def test_level_test_agrees_with_plain_level_scan():
     """The first-try order, and the ideal's order among generators of
     equal weight, change no verdict or witness, on every sorted tuple of
     3x14, 4x9 and 5x5 and on each one reversed, where the last
-    coordinate, and with it the scan order, differs.  Weight ties are
-    most common with five variables."""
+    coordinate, and with it the scan order, differs."""
     for lam in itertools.chain(
         itertools.combinations_with_replacement(range(1, 15), 3),
         itertools.combinations_with_replacement(range(1, 10), 4),
