@@ -77,9 +77,6 @@ class LambdaSpec(Frozen):
     def n(self) -> int:
         return len(self.lam)
 
-    def __repr__(self):
-        return f"LambdaSpec({list(self.lam)!r})"
-
 
 def j_ideal(spec: LambdaSpec) -> MonomialIdeal:
     """The axis ideal itself: one generator lam_i * e_i per variable."""
@@ -111,9 +108,12 @@ def _minima(omega: Vec, need: int, bounds: Vec) -> Iterator[tuple[Vec, int]]:
     omega_k off r inside the box, so a head or row whose r is larger
     starts at a_i = ceil((r - reach_i) / omega_i), and is skipped when
     that lies past bounds_i; a row starts at ceil((r - bounds_n omega_n) /
-    omega_{n-1}).  Every column walked then has t <= bounds_n.  When need
-    <= bounds_n omega_n, as in every closure scan, nothing is skipped and
-    each head and row pays one comparison for it.
+    omega_{n-1}).  Every column walked then has t <= bounds_n.  A skip
+    to a_i = c leaves least as it was: r - c omega_i > reach_i - omega_i,
+    so every point of the box that extends that head has slack at most
+    reach_i - (r - c omega_i) < omega_i, and omega_i never binds.  When
+    need <= bounds_n omega_n, as in every closure scan, nothing is
+    skipped and each head and row pays one comparison for it.
     """
     if len(bounds) == 1:
         t = max(0, -(-need // omega[0]))
@@ -123,10 +123,10 @@ def _minima(omega: Vec, need: int, bounds: Vec) -> Iterator[tuple[Vec, int]]:
     *heads, wide, top = bounds
     *head_w, row_w, last_w = omega
     # (head, r, least) for each head with a row to walk: r = need -
-    # omega . head, least the least omega_i over its support, or, while
-    # the support is empty, a value above every omega_i and every slack
-    # of a point with that support.  Like a row, a head coordinate stops
-    # growing once r <= 0
+    # omega . head, least the least omega_i over its support that can
+    # bind (a skip's omega_i cannot), or, while the support is empty, a
+    # value above every omega_i and every slack of a point with that
+    # support.  Like a row, a head coordinate stops growing once r <= 0
     rows = [((), need, max(omega) + abs(need))]
     # rest: the most that the coordinates after the current one take off
     # r inside the box
@@ -139,7 +139,6 @@ def _minima(omega: Vec, need: int, bounds: Vec) -> Iterator[tuple[Vec, int]]:
             if r > rest:
                 c = -(-(r - rest) // w)
                 r -= c * w
-                least = min(least, w)
             for c in range(c, b + 1):
                 grown.append((head + (c,), r, least))
                 if r <= 0:
@@ -154,7 +153,6 @@ def _minima(omega: Vec, need: int, bounds: Vec) -> Iterator[tuple[Vec, int]]:
         if r > rest:
             x = -(-(r - rest) // row_w)
             r -= x * row_w
-            least = min(least, row_w)
         for x in range(x, wide + 1):
             if r <= 0:
                 if -r < least:
@@ -221,12 +219,7 @@ def decompose(spec: LambdaSpec, a: Iterable[int], p: int) -> tuple[Vec, ...] | N
             else:
                 for g in gens:
                     if all(map(le, g, a)):
-                        v = tuple(map(sub, a, g))
-                        # the last part needs only its test, not a search
-                        if k == 2:
-                            rest = (v,) if sum(map(mul, omega, v)) >= L else None
-                        else:
-                            rest = search(v, k - 1)
+                        rest = search(tuple(map(sub, a, g)), k - 1)
                         if rest is not None:
                             result = (g,) + rest
                             break
@@ -269,17 +262,16 @@ def is_normal_lambda(
     level test; it is not a split test outside this loop.
 
     The generators are sorted by weight once, stably, so equal weights
-    keep the ideal's descending lex order: with ties in ascending lex
-    the 5x10 sweep makes 8.5 million tries, not 3.7 million.  The test
-    tries first the generator that passed the last point, since
-    consecutive minimal points are close, and finds the light enough
-    prefix by bisection and searches it in weight order only when that
-    fails.  The generator tried first must pass the same weight test,
-    one comparison of its weight with the cap: a g <= a too heavy to be
-    a first part does not split a, and without the test (2, 9, 11) would
-    read normal, though (1, 7, 8) fails at p = 2.  Which passing
-    generator is found does not matter, so the verdict and witness are
-    those of a search in weight order."""
+    keep the ideal's descending lex order.  The test tries first the
+    generator that passed the last point, since consecutive minimal
+    points are close, and finds the light enough prefix by bisection and
+    searches it in weight order only when that fails.  The generator
+    tried first must pass the same weight test, one comparison of its
+    weight with the cap: a g <= a too heavy to be a first part does not
+    split a, and without the test (2, 9, 11) would read normal, though
+    (1, 7, 8) fails at p = 2.  Which passing generator is found does not
+    matter, so the verdict and witness are those of a search in weight
+    order."""
     n = spec.n
     if not force_enumeration:
         if n <= 2:

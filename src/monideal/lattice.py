@@ -163,8 +163,9 @@ def minimal_points(bounds: Vec, floor: Callable[[Vec, int], int]) -> Iterator[Ve
 class Frozen:
     """Base of the immutable value classes.  A subclass fills its slots
     through ``object.__setattr__`` and names its constructor arguments in
-    ``_args()``; equality, hashing, pickling and copying go through those
-    alone, so cache slots left out of ``_args()`` never travel."""
+    ``_args()``; equality, hashing, pickling, copying and the repr go
+    through those alone, so cache slots left out of ``_args()`` never
+    travel."""
 
     __slots__ = ()
 
@@ -182,6 +183,9 @@ class Frozen:
 
     def __hash__(self):
         return hash(self._args())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._args()))})"
 
 
 class MonomialIdeal(Frozen):
@@ -235,9 +239,6 @@ class MonomialIdeal(Frozen):
                 f"point {a} has dimension {len(a)}, expected {self.dim}"
             )
         return any_below(self.generators, a)
-
-    def __repr__(self):
-        return f"MonomialIdeal({self.dim}, {list(self.generators)!r})"
 
 
 def format_vector(v: Iterable[int]) -> str:

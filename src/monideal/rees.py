@@ -57,9 +57,6 @@ class ReesSemigroup(Frozen):
         require_same_dim(point, self.sigma)
         return sum(map(mul, point, self.sigma))
 
-    def __repr__(self):
-        return f"ReesSemigroup({self.spec!r})"
-
 
 @dataclass(frozen=True)
 class MonomialPrime:
@@ -165,10 +162,7 @@ def express_on_facet(
             move[i] = spec.lam[i]
             move[n] = 1
             combo.append((tuple(move), q))
-    counts: dict[Vec, int] = {}
-    for b in parts:
-        counts[b + (1,)] = counts.get(b + (1,), 0) + 1
-    combo.extend(sorted(counts.items(), reverse=True))
+    combo.extend((b + (1,), parts.count(b)) for b in sorted(set(parts), reverse=True))
     total = [0] * (n + 1)
     for gen, c in combo:
         for j in range(n + 1):

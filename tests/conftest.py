@@ -45,3 +45,16 @@ def pairwise_minimal(points):
             reverse=True,
         )
     )
+
+
+def climb(member):
+    """A ``minimal_points`` floor that climbs the column one height at a
+    time, asking ``member`` at each, up to the cap."""
+
+    def floor(col, cap):
+        t = 0
+        while t < cap and not member(col + (t,)):
+            t += 1
+        return t
+
+    return floor

@@ -31,9 +31,12 @@ from monideal import (
     j_ideal,
     parse_ideal,
 )
+from monideal import ilambda
 from monideal.ilambda import _minima
 from monideal.lattice import minimal_points
 from monideal.oracles import normality_oracle, omega_dot, split_oracle
+
+from conftest import climb
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -249,19 +252,6 @@ def test_split_matches_recursive_reference(data):
             assert got == sorted(Counter(b + (1,) for b in parts).items(), reverse=True)
 
 
-def climb(member):
-    """A ``minimal_points`` floor that climbs the column one height at a
-    time, asking ``member`` at each, up to the cap."""
-
-    def floor(col, cap):
-        t = 0
-        while t < cap and not member(col + (t,)):
-            t += 1
-        return t
-
-    return floor
-
-
 @given(st.data())
 def test_minima_are_the_minimal_points_of_the_climb(data):
     """The walk yields, with their weights, the points ``minimal_points``
@@ -302,6 +292,27 @@ def test_minima_of_any_weights_and_threshold(case):
     walked = list(_minima(omega, need, tuple(bounds)))
     assert [a for a, _ in walked] == list(minimal_points(tuple(bounds), floor))
     assert all(w == sum(map(operator.mul, omega, a)) for a, w in walked)
+
+
+def test_minima_head_skip_starts_at_the_first_head_that_reaches(monkeypatch):
+    """Only heads from a_1 = 99999 on can reach need inside the box, so
+    the head loop starts there: not at 0, which walks 10^5 heads, and
+    not one below, whose row the row skip would leave empty.  The
+    starts are read off the ``range`` calls, head loop first."""
+    ranges = []
+
+    def recorded(*args):
+        ranges.append(args)
+        return range(*args)
+
+    monkeypatch.setattr(ilambda, "range", recorded, raising=False)
+    walked = list(_minima((2, 1, 1), 2 * 10**5 - 1, (10**5, 1, 1)))
+    assert ranges == [(99999, 10**5 + 1), (0, 2), (0, 2)]
+    assert walked == [
+        ((99999, 0, 1), 199999),
+        ((99999, 1, 0), 199999),
+        ((10**5, 0, 0), 2 * 10**5),
+    ]
 
 
 def level_floor(spec, p):

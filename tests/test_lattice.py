@@ -30,7 +30,7 @@ from monideal.lattice import any_below, minimal_points
 from monideal.newton import INSIDE, integral_closure, power
 from monideal.rees import express_on_facet
 
-from conftest import pairwise_minimal
+from conftest import climb, pairwise_minimal
 
 small_vec = st.lists(st.integers(0, 6), min_size=1, max_size=4).map(tuple)
 vec3 = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
@@ -160,19 +160,6 @@ def test_ideal_from_antichain_matches_minimalizing_constructor(points, rng):
     assert built == up
     scanned = minimal_points((5, 5, 5), climb(up.contains))
     assert MonomialIdeal.from_antichain(3, scanned) == up
-
-
-def climb(member):
-    """A ``minimal_points`` floor that climbs the column one height at a
-    time, asking ``member`` at each, up to the cap."""
-
-    def floor(col, cap):
-        t = 0
-        while t < cap and not member(col + (t,)):
-            t += 1
-        return t
-
-    return floor
 
 
 def box_walk(bounds, member):
@@ -541,14 +528,15 @@ def test_immutable_objects_pickle_and_copy(make):
     """The slotted immutable classes rebuild from their constructor
     arguments, so pickling (worker processes) and copying work; no
     attribute can be assigned, an object is never equal to its argument
-    tuple, and the caches (closure, bitset of the monoid, cuts) start
-    afresh."""
+    tuple, the caches (closure, bitset of the monoid, cuts) start
+    afresh, and the repr evaluates back to an equal object."""
     obj = make()
     name = type(obj).__name__
     for attr in type(obj).__slots__ + ("other",):
         with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
             setattr(obj, attr, None)
     assert obj != obj._args() and obj._args() != obj
+    assert eval(repr(obj)) == obj
     for clone in (
         pickle.loads(pickle.dumps(obj)),
         copy.copy(obj),
