@@ -15,7 +15,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from math import gcd
 
@@ -237,6 +236,9 @@ def sweep_csv(n: int, max_lambda: int, bound: int | None, workers: int) -> str:
     workers = min(workers, os.cpu_count() or 1)
     job = partial(sweep_row, bound=bound)
     if workers > 1:
+        # imported here: multiprocessing would slow every CLI start
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, rows, chunksize=16))  # in input order
     else:

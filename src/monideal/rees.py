@@ -8,6 +8,10 @@ and sigma = 0 cuts the one facet of the cone not spanned by coordinate
 hyperplanes.  Regularity in codimension one along that facet holds iff
 some generator has sigma value exactly one, which happens iff L + 1 lies
 in the scaled monoid; both routes are computed and must agree.
+
+``ReesSemigroup`` is a view over the closure its spec keeps: the
+generators and their sigma values are built when they are read, and the
+sigma-one test reads the kept weights omega . beta directly.
 """
 
 from __future__ import annotations
@@ -22,35 +26,53 @@ from .monoid import almost_quasinormal
 
 
 class ReesSemigroup(Frozen):
-    """Generators and facet data of the semigroup of one LambdaSpec.
+    """Generators and facet data of the semigroup of one LambdaSpec, read
+    off the closure the spec keeps.
 
-    ``sigmas`` holds the sigma value of each generator, aligned with
+    ``generators`` and ``sigmas`` are built on each read.  ``sigmas``
+    holds the sigma value of each generator, aligned with
     ``generators``: omega_i for (e_i, 0), omega . beta - L for (beta, 1).
     The betas of value 0, of weight omega . beta = L, span the facet."""
 
-    __slots__ = ("spec", "ideal", "generators", "sigma", "sigmas")
+    __slots__ = ("spec", "ideal", "sigma")
 
     def __init__(self, spec: LambdaSpec):
-        ideal = ilambda_generators(spec)
-        betas = ideal.generators
-        n, omega, L = spec.n, spec.omega, spec.L
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "ideal", ilambda_generators(spec))
+        object.__setattr__(self, "sigma", spec.omega + (-spec.L,))
+
+    def _args(self):
+        return (self.spec,)
+
+    @property
+    def generators(self) -> tuple[Vec, ...]:
+        n = self.spec.n
         gens: list[Vec] = []
         for i in range(n):
             e = [0] * (n + 1)
             e[i] = 1
             gens.append(tuple(e))
-        for beta in betas:
-            gens.append(beta + (1,))
-        # the weights omega . beta the closure scan kept beside the ideal
-        beta_sigmas = tuple(w - L for w in spec._closure[1])
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "generators", tuple(gens))
-        object.__setattr__(self, "sigma", omega + (-L,))
-        object.__setattr__(self, "sigmas", omega + beta_sigmas)
+        gens.extend(beta + (1,) for beta in self.ideal.generators)
+        return tuple(gens)
 
-    def _args(self):
-        return (self.spec,)
+    @property
+    def sigmas(self) -> tuple[int, ...]:
+        # the weights omega . beta the closure scan kept beside the ideal
+        L = self.spec.L
+        return self.spec.omega + tuple(w - L for w in self.spec._closure[1])
+
+    def sigma_one(self) -> Vec | None:
+        """The first generator, in the order of ``generators``, of sigma
+        value one, or None; only that one tuple is built."""
+        omega, L = self.spec.omega, self.spec.L
+        if 1 in omega:
+            e = [0] * (len(omega) + 1)
+            e[omega.index(1)] = 1
+            return tuple(e)
+        weights = self.spec._closure[1]
+        if L + 1 in weights:
+            return self.ideal.generators[weights.index(L + 1)] + (1,)
+        return None
 
     def sigma_value(self, point) -> int:
         point = as_vec(point)
@@ -105,13 +127,13 @@ def height_one_primes(S: ReesSemigroup) -> tuple[MonomialPrime, ...]:
 def r1_satisfied(spec: LambdaSpec) -> tuple[bool, Vec | None]:
     """Codimension-one regularity along the sigma facet.
 
-    Semigroup route: scan for a generator with sigma value one.  Monoid
+    Semigroup route: the first generator of sigma value one, which
+    ``sigma_one`` reads off omega and the closure's kept weights.  Monoid
     route: L + 1 in the scaled monoid.  The two are equivalent, and both
     are computed; disagreement raises ConsistencyError rather than
     returning either answer.
     """
-    S = ReesSemigroup(spec)
-    witness = next((g for g, s in zip(S.generators, S.sigmas) if s == 1), None)
+    witness = ReesSemigroup(spec).sigma_one()
     aq = almost_quasinormal(spec)
     if (witness is not None) != aq:
         raise ConsistencyError(

@@ -1,6 +1,8 @@
 import ast
+import concurrent.futures
 import hashlib
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -215,7 +217,8 @@ def test_sweep_rows_for_known_lambda():
 
 def test_sweep_row_scans_and_checks_almost_qn_once(monkeypatch):
     """One row builds the closure generators once, shared by the normality
-    test and the Rees semigroup, and reads almost_qn off r1_satisfied.  The
+    test and the Rees semigroup, which reads the sigma-one generator off
+    the kept weights, and reads almost_qn off r1_satisfied.  The
     normality test adds one walk of omega.a >= 2L below lam - 1."""
     scans, calls = [], {"almost_qn": 0}
     scan, almost_qn = ilambda._minima, monoid.almost_quasinormal
@@ -235,6 +238,21 @@ def test_sweep_row_scans_and_checks_almost_qn_once(monkeypatch):
     assert row[2:6] == ["false", "p=2;alpha=1,2,6", "false", "false"]
     assert scans == [(2, 3, 7), (1, 2, 6)]
     assert calls == {"almost_qn": 1}
+
+
+def test_sweep_rows_build_no_semigroup_tuples(monkeypatch):
+    """A sweep row reads only the sigma-one generator, so it never builds
+    the semigroup's generators or sigma values: with both made to raise,
+    the 3 x 6 rows keep their pinned bytes."""
+
+    def refuse(self):
+        raise AssertionError("a sweep row built the semigroup tuples")
+
+    for name in ("generators", "sigmas"):
+        monkeypatch.setattr(rees.ReesSemigroup, name, property(refuse))
+    text = sweep_csv(3, 6, None, 1)
+    digest = "85c630efedb13c1ffbf6b51bffab43cda0cab6a8473a296f5d2b3ec7e18cd256"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_readme_quick_tour_values():
@@ -356,7 +374,8 @@ def test_sweep_workers_capped_at_cpu_count(monkeypatch, capsys):
             assert chunksize == 16
             return map(fn, rows)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    # sweep_csv imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     argv = ["sweep", "--n", "3", "--max-lambda", "4", "--workers", "64"]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     code, out, _ = run_cli(capsys, *argv)
@@ -366,6 +385,23 @@ def test_sweep_workers_capped_at_cpu_count(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out == sweep_csv(3, 4, None, 1)
     assert pools == [3]
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    """Importing the CLI loads no process pool: sweep_csv imports it only
+    when it runs workers, so other commands start without it."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = (
+        "import sys, monideal.cli; "
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_seed_fixtures_round_trip(capsys, tmp_path):

@@ -12,6 +12,7 @@ from monideal import (
     express_on_facet,
     grp_facet_check,
     height_one_primes,
+    ilambda_generators,
     r1_satisfied,
 )
 from monideal import rees
@@ -124,6 +125,43 @@ def test_stored_sigmas_match_sigma_value(lam):
     assert primes["P_sigma"].t_generators == tuple(b for b in betas if b not in facet)
     witness = sigma_scan_witness(S)
     assert r1_satisfied(spec) == (witness is not None, witness)
+
+
+def eager_semigroup(spec):
+    """The reference semigroup, built in full from the closure generators
+    with sigma computed by omega_dot: the units (e_i, 0), then (beta, 1)
+    for each beta in the ideal's order, and their sigma values."""
+    n, L = spec.n, spec.L
+    units = [tuple(int(j == i) for j in range(n + 1)) for i in range(n)]
+    gens = tuple(units) + tuple(b + (1,) for b in ilambda_generators(spec).generators)
+    sigmas = tuple(omega_dot(spec, g[:n]) - L * g[n] for g in gens)
+    return gens, sigmas
+
+
+def test_semigroup_view_matches_an_eager_build():
+    """The view's generators, sigma values, height-one primes and r1
+    witness equal those of the semigroup built in full.  The witness is
+    the first sigma-one generator in generator order, which depends on
+    the coordinate order, so the sorted 4-tuples run reversed too."""
+    sorted4 = list(itertools.combinations_with_replacement(range(1, 7), 4))
+    corpus = itertools.chain(
+        itertools.product(range(1, 9), repeat=2),
+        itertools.product(range(1, 7), repeat=3),
+        sorted4,
+        (lam[::-1] for lam in sorted4),
+    )
+    for lam in corpus:
+        spec = LambdaSpec(lam)
+        S = ReesSemigroup(spec)
+        gens, sigmas = eager_semigroup(spec)
+        assert S.generators == gens and S.sigmas == sigmas, lam
+        n, betas = spec.n, S.ideal.generators
+        expected = [tuple(b for b in betas if b[i] >= 1) for i in range(n)]
+        expected += [betas, tuple(b for b, s in zip(betas, sigmas[n:]) if s > 0)]
+        assert [p.t_generators for p in height_one_primes(S)] == expected, lam
+        witness = next((g for g, s in zip(gens, sigmas) if s == 1), None)
+        assert S.sigma_one() == witness, lam
+        assert r1_satisfied(spec) == (witness is not None, witness), lam
 
 
 def test_r1_equals_almost_quasinormality_everywhere():
