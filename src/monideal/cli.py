@@ -40,10 +40,10 @@ from .monoid import (
 )
 from .newton import (
     NewtonPolyhedron,
+    as_rational,
     first_missing_generator,
     integral_closure,
     is_normal,
-    parse_rational,
     power,
 )
 from .oracles import closure_oracle, normality_oracle, window_split_oracle
@@ -185,7 +185,7 @@ def cmd_reduce(args) -> dict:
 
 def cmd_certify(args) -> dict:
     ideal = parse_ideal(args.gens)
-    point = [parse_rational(x) for x in args.point.split(",")]
+    point = [*map(as_rational, args.point.split(","))]
     return NewtonPolyhedron(ideal).contains(point).to_json_dict()
 
 

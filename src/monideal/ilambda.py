@@ -31,9 +31,11 @@ from .lattice import (
     Frozen,
     MonomialIdeal,
     Vec,
+    as_int,
     as_vec,
     parse_vector,
     require_same_dim,
+    unit,
 )
 
 EQUIVALENT = "equivalent"
@@ -81,12 +83,7 @@ class LambdaSpec(Frozen):
 def j_ideal(spec: LambdaSpec) -> MonomialIdeal:
     """The axis ideal itself: one generator lam_i * e_i per variable."""
     n = spec.n
-    gens = []
-    for i, v in enumerate(spec.lam):
-        g = [0] * n
-        g[i] = v
-        gens.append(tuple(g))
-    return MonomialIdeal(n, gens)
+    return MonomialIdeal(n, [unit(n, i, v) for i, v in enumerate(spec.lam)])
 
 
 def _minima(omega: Vec, need: int, bounds: Vec) -> Iterator[tuple[Vec, int]]:
@@ -196,10 +193,7 @@ def decompose(spec: LambdaSpec, a: Iterable[int], p: int) -> tuple[Vec, ...] | N
     """
     a = as_vec(a)
     require_same_dim(a, spec.lam)
-    try:
-        (p,) = as_vec((p,))
-    except (TypeError, ValueError):
-        raise ValueError(f"part count must be an integer, got {p!r}") from None
+    p = as_int(p, "part count")
     if p < 1:
         raise ValueError(f"part count must be positive, got {p}")
     if any(x < 0 for x in a):
@@ -317,6 +311,7 @@ def congruence_reduce(spec: LambdaSpec, i: int) -> CongruenceReduction:
     original; when lam_i is at least that lcm the two are equivalent,
     and below that threshold only the forward direction is guaranteed.
     """
+    i = as_int(i, "index")
     if not 1 <= i <= spec.n:
         raise ValueError(f"index must be in 1..{spec.n}, got {i}")
     others = spec.lam[: i - 1] + spec.lam[i:]

@@ -43,6 +43,21 @@ def as_vec(coords: Iterable) -> Vec:
     return tuple(map(int, v))
 
 
+def as_int(x, what: str) -> int:
+    """One integer taken exactly, through ``as_vec``; any other value
+    raises ValueError naming ``what``."""
+    try:
+        (n,) = as_vec((x,))
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+    return n
+
+
+def unit(dim: int, i: int, value: int = 1) -> Vec:
+    """The axis vector value * e_i in ``dim`` coordinates, i from 0."""
+    return (0,) * i + (value,) + (0,) * (dim - 1 - i)
+
+
 def require_same_dim(a: tuple, b: tuple) -> None:
     if len(a) != len(b):
         raise DimensionMismatch(f"dimension mismatch: {len(a)} vs {len(b)}")

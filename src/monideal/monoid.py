@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from .ilambda import LambdaSpec
-from .lattice import as_vec
+from .lattice import as_int, as_vec
 
 # _REV8[b] is the byte b with its 8 bits in reverse order
 _REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -95,12 +95,9 @@ def _monoid(spec: LambdaSpec) -> tuple[int, int, bytes]:
 
 def in_M(spec: LambdaSpec, s: int) -> bool:
     """Membership of the integer s in the scaled monoid.  s is taken
-    exactly, through ``lattice.as_vec``: 43.0 is 43, and 44.5, nan and
+    exactly, through ``lattice.as_int``: 43.0 is 43, and 44.5, nan and
     inf raise ValueError."""
-    try:
-        (s,) = as_vec((s,))
-    except (TypeError, ValueError):
-        raise ValueError(f"monoid element must be an integer, got {s!r}") from None
+    s = as_int(s, "monoid element")
     _, c, view = _monoid(spec)
     return s >= 0 and (s >= c or bool(view[s >> 3] >> (s & 7) & 1))
 
@@ -181,8 +178,7 @@ def quasinormal_window(spec: LambdaSpec, bound: int | None = None) -> WindowVerd
     bound.
     """
     L = spec.L
-    if bound is None:
-        bound = default_window_bound(spec)
+    bound = default_window_bound(spec) if bound is None else as_int(bound, "bound")
     if bound < L:
         return WindowVerdict(VACUOUS, None, bound)
     member, c, view = _monoid(spec)

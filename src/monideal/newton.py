@@ -74,13 +74,23 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
+def as_rational(x) -> Fraction:
+    """x as an exact Fraction: ints, Fractions, floats and strings such
+    as "1/2" or " 3 ".  Anything else raises ValueError, "1/0", None, inf
+    and nan too.  The one place a value turns into a Fraction."""
+    try:
+        return Fraction(x)
+    except (OverflowError, TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"malformed rational: {x!r}") from None
+
+
 def as_rational_point(point: Iterable) -> RatVec:
-    """Coerce to a tuple of Fractions; entries must be rational and
-    nonnegative, so inf and nan raise ValueError."""
+    """Coerce to a tuple of Fractions through ``as_rational``; entries
+    must be rational and nonnegative, else ValueError."""
     point = tuple(point)
     try:
-        p = tuple(x if type(x) is Fraction else Fraction(x) for x in point)
-    except (OverflowError, ValueError):
+        p = tuple(x if type(x) is Fraction else as_rational(x) for x in point)
+    except ValueError:
         raise ValueError(f"query points must be rational, got {point}") from None
     if any(x.numerator < 0 for x in p):
         raise ValueError(f"query points must be nonnegative, got {p}")
@@ -90,13 +100,6 @@ def as_rational_point(point: Iterable) -> RatVec:
 def _scaled(xs: Iterable, q: int) -> list[int]:
     """q * x for each rational x whose denominator divides q, in ints."""
     return [x.numerator * (q // x.denominator) for x in xs]
-
-
-def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise ValueError(f"malformed rational: {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,7 @@ class MembershipCertificate:
 
     def to_json_dict(self) -> dict:
         """The certificate as JSON, each rational written by ``str``:
-        Fraction prints "3" or "1/2", and ``Fraction()`` parses both."""
+        Fraction prints "3" or "1/2", and ``as_rational`` parses both."""
         if self.verdict == INSIDE:
             return {
                 "verdict": INSIDE,
@@ -195,9 +198,9 @@ class MembershipCertificate:
                 raise ValueError(
                     f"malformed certificate: {key!r} must be a {kind.__name__}"
                 )
-        pt = tuple(Fraction(x) for x in point)
+        pt = tuple(map(as_rational, point))
         if data["verdict"] == OUTSIDE:
-            return cls(OUTSIDE, pt, w=tuple(parse_rational(x) for x in data["w"]))
+            return cls(OUTSIDE, pt, w=tuple(map(as_rational, data["w"])))
         weights, den = data["weights"], data["denominator"]
         if any(not isinstance(t, list) or [*map(type, t)] != [str, str] for t in weights):
             raise ValueError("malformed certificate: weights must be string pairs")
@@ -205,8 +208,8 @@ class MembershipCertificate:
             (den,) = lattice.as_vec((den,))
         except (TypeError, ValueError):
             raise ValueError(f"malformed certificate: denominator {den!r}") from None
-        terms = tuple((parse_vector(g), parse_rational(wt)) for g, wt in weights)
-        slack = tuple(parse_rational(s) for s in data["slack"].split(","))
+        terms = tuple((parse_vector(g), as_rational(wt)) for g, wt in weights)
+        slack = tuple(map(as_rational, data["slack"].split(",")))
         return cls(INSIDE, pt, terms=terms, slack=slack, denominator=den)
 
 
@@ -314,10 +317,11 @@ def _phase1(gens: Sequence[Vec], b: Sequence[int], q: int):
 class NewtonPolyhedron(Frozen):
     """Membership oracle for conv(generators) + R^n_{>=0} of one ideal.
 
-    ``_cuts`` caches the outside functionals that the closure scan of
-    ``integral_closure`` learns, as (numerators, denominator) pairs.  Only
-    that scan reads it or appends to it, and pickling or copying starts
-    it afresh.
+    ``_cuts`` caches the outside functionals that the closure scan
+    ``_closure_points`` learns, as (numerators, denominator) pairs; its
+    callers are ``integral_closure``, ``is_integrally_closed`` and
+    ``is_normal``.  Only that scan reads it or appends to it, and
+    pickling or copying starts it afresh.
     """
 
     __slots__ = ("ideal", "_cuts")
@@ -359,7 +363,7 @@ def _affine_dependence(points: Sequence[RatVec]) -> list[Fraction] | None:
     form, first free column set to one."""
     m = len(points)
     n = len(points[0]) if m else 0
-    rows = [[Fraction(p[j]) for p in points] for j in range(n)]
+    rows = [[p[j] for p in points] for j in range(n)]
     rows.append([_F1] * m)
     pivot_cols: list[int] = []
     pr = 0
@@ -392,7 +396,7 @@ def _affine_dependence(points: Sequence[RatVec]) -> list[Fraction] | None:
 
 
 def affinely_independent(points: Sequence[Iterable]) -> bool:
-    pts = [tuple(Fraction(x) for x in p) for p in points]
+    pts = [tuple(map(as_rational, p)) for p in points]
     if not pts:
         return True
     return _affine_dependence(pts) is None
@@ -413,8 +417,8 @@ def caratheodory_reduce(
     and fold its weight into the rest.  The combination value is preserved
     exactly; weights stay positive and sum to one.
     """
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    wts = [Fraction(x) for x in weights]
+    pts = [tuple(map(as_rational, p)) for p in points]
+    wts = [*map(as_rational, weights)]
     if not pts or len(pts) != len(wts):
         raise ValueError("need equally many points and weights, at least one")
     if any(len(p) != len(pts[0]) for p in pts):
@@ -453,6 +457,7 @@ def power(ideal: MonomialIdeal, m: int) -> MonomialIdeal:
     """The m-th power: minimalized m-fold sums of generators.  m = 0 gives
     the unit ideal by convention, and m = 1 the ideal itself, whose
     generators are already minimal."""
+    m = lattice.as_int(m, "power")
     if m < 0:
         raise ValueError(f"power must be nonnegative, got {m}")
     if m == 0:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .ilambda import LambdaSpec, decompose, ilambda_generators
-from .lattice import ConsistencyError, Frozen, Vec, as_vec, require_same_dim
+from .lattice import ConsistencyError, Frozen, Vec, as_int, as_vec, require_same_dim, unit
 from .monoid import almost_quasinormal
 
 
@@ -47,13 +47,8 @@ class ReesSemigroup(Frozen):
     @property
     def generators(self) -> tuple[Vec, ...]:
         n = self.spec.n
-        gens: list[Vec] = []
-        for i in range(n):
-            e = [0] * (n + 1)
-            e[i] = 1
-            gens.append(tuple(e))
-        gens.extend(beta + (1,) for beta in self.ideal.generators)
-        return tuple(gens)
+        units = tuple(unit(n + 1, i) for i in range(n))
+        return units + tuple(beta + (1,) for beta in self.ideal.generators)
 
     @property
     def sigmas(self) -> tuple[int, ...]:
@@ -66,9 +61,7 @@ class ReesSemigroup(Frozen):
         value one, or None; only that one tuple is built."""
         omega, L = self.spec.omega, self.spec.L
         if 1 in omega:
-            e = [0] * (len(omega) + 1)
-            e[omega.index(1)] = 1
-            return tuple(e)
+            return unit(len(omega) + 1, omega.index(1))
         weights = self.spec._closure[1]
         if L + 1 in weights:
             return self.ideal.generators[weights.index(L + 1)] + (1,)
@@ -129,9 +122,16 @@ def r1_satisfied(spec: LambdaSpec) -> tuple[bool, Vec | None]:
 
     Semigroup route: the first generator of sigma value one, which
     ``sigma_one`` reads off omega and the closure's kept weights.  Monoid
-    route: L + 1 in the scaled monoid.  The two are equivalent, and both
-    are computed; disagreement raises ConsistencyError rather than
-    returning either answer.
+    route: L + 1 in the scaled monoid.  The two are equivalent.  If
+    L + 1 = omega . a for some a in N^n, then a lies in the closure set,
+    so some closure generator g <= a has omega . (a - g) <= 1.  If
+    a = g, then (g, 1) has sigma value one.  Otherwise a - g is a unit
+    vector e_i with omega_i = 1, and (e_i, 0) has sigma value one.
+    Conversely, a generator (beta, 1) of sigma value one has
+    omega . beta = L + 1, and a generator (e_i, 0) of sigma value one
+    puts 1 in M, so L + 1 = lam_i omega_i + 1 is in M too.  Both routes
+    are still computed, as a cheap runtime cross-check; disagreement
+    raises ConsistencyError rather than returning either answer.
     """
     witness = ReesSemigroup(spec).sigma_one()
     aq = almost_quasinormal(spec)
@@ -177,13 +177,7 @@ def express_on_facet(
     parts = decompose(spec, rest, d_rest) if d_rest else ()
     if parts is None:
         return None
-    combo: list[tuple[Vec, int]] = []
-    for i, q in enumerate(qs):
-        if q != 0:
-            move = [0] * (n + 1)
-            move[i] = spec.lam[i]
-            move[n] = 1
-            combo.append((tuple(move), q))
+    combo = [(unit(n, i, spec.lam[i]) + (1,), q) for i, q in enumerate(qs) if q]
     combo.extend((b + (1,), parts.count(b)) for b in sorted(set(parts), reverse=True))
     total = [0] * (n + 1)
     for gen, c in combo:
@@ -199,6 +193,7 @@ def grp_facet_check(S: ReesSemigroup, radius: int) -> bool:
     lattice on a sample: every integer point with entries in
     [-radius, radius] and sigma value zero must be expressible through
     express_on_facet.  True when all sampled points pass."""
+    radius = as_int(radius, "radius")
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     omega, L = S.spec.omega, S.spec.L

@@ -25,10 +25,11 @@ from monideal import (
     parse_ideal,
     parse_vector,
 )
-from monideal.ilambda import decompose, ilambda_generators
+from monideal.ilambda import congruence_reduce, decompose, ilambda_generators
 from monideal.lattice import any_below, minimal_points
 from monideal.newton import INSIDE, integral_closure, power
-from monideal.rees import express_on_facet
+from monideal.monoid import quasinormal_window
+from monideal.rees import express_on_facet, grp_facet_check
 
 from conftest import climb, pairwise_minimal
 
@@ -436,6 +437,34 @@ def test_exponents_are_taken_exactly_or_refused(call):
     for x in (1.5, Fraction(3, 2), math.nan, math.inf):
         with pytest.raises(ValueError, match=r"^exponents must be integers, got \("):
             call(x, 1)
+
+
+# each call takes x as one integer argument, which is no exponent, and an
+# int v that it accepts there
+INTEGER_CALLS = {
+    "power": (lambda x: power(parse_ideal("2,0;1,1"), x), 2),
+    "bound": (lambda x: quasinormal_window(LambdaSpec((2, 3, 7)), x), 100),
+    "index": (lambda x: congruence_reduce(LambdaSpec((2, 3, 7)), x), 2),
+    "radius": (lambda x: grp_facet_check(FACET, x), 1),
+}
+
+
+@pytest.mark.parametrize("what", INTEGER_CALLS)
+def test_integer_arguments_are_taken_exactly_or_refused(what):
+    """``power``, ``quasinormal_window``, ``congruence_reduce`` and
+    ``grp_facet_check`` take their integer argument through ``as_int``: a
+    value equal to an int answers as that int, and any other value raises
+    ValueError naming the argument."""
+    call, v = INTEGER_CALLS[what]
+    for x in (float(v), Fraction(2 * v, 2), str(v)):
+        assert repr(call(x)) == repr(call(v))
+    bad = [1.5, Fraction(3, 2), math.nan, math.inf, "x"]
+    if what != "bound":  # no bound means the default bound
+        bad.append(None)
+    for x in bad:
+        with pytest.raises(ValueError) as info:
+            call(x)
+        assert str(info.value) == f"{what} must be an integer, got {x!r}"
 
 
 def test_ideal_is_immutable_and_hashable():

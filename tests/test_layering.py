@@ -1,9 +1,9 @@
 """The production modules import one another along a fixed graph, and
 the brute-force layer lives in ``oracles`` alone: the production modules
-neither import it nor keep a copy of its helpers."""
+neither import it nor keep a copy of its helpers.  One function,
+``newton.as_rational``, turns values into Fractions."""
 
 import ast
-import importlib
 from pathlib import Path
 
 import pytest
@@ -21,12 +21,13 @@ IMPORT_GRAPH = {
     "rees": {"ilambda", "lattice", "monoid"},
 }
 PRODUCTION = tuple(IMPORT_GRAPH)
-MODULES = {path.stem for path in Path(monideal.__file__).parent.glob("*.py")}
+PACKAGE = Path(monideal.__file__).parent
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 ORACLE_HELPERS = {"box_enumerate", "le_pr", "vec_scale", "dot", "in_gamma", "omega_dot"}
 
 
 def _tree(name: str) -> ast.Module:
-    path = Path(importlib.import_module(f"monideal.{name}").__file__)
+    path = PACKAGE / f"{name}.py"
     return ast.parse(path.read_text(), filename=str(path))
 
 
@@ -93,3 +94,44 @@ def test_package_names_are_the_oracle_helpers():
     assert monideal.box_enumerate is oracles.box_enumerate
     assert monideal.le_pr is oracles.le_pr
     assert monideal.in_gamma is oracles.in_gamma
+
+
+def _fraction_casts(tree: ast.Module) -> list[tuple[str | None, int]]:
+    """(enclosing function, line) of every call of ``Fraction`` with one
+    argument that is not a literal; Fraction(1) and Fraction(x, d) are not
+    casts.  Module-level calls have no enclosing function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and getattr(child.func, "id", getattr(child.func, "attr", None)) == "Fraction"
+                and len(child.args) + len(child.keywords) == 1
+                and not (child.args and isinstance(child.args[0], ast.Constant))
+            ):
+                found.append((owner, child.lineno))
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(MODULES - {"oracles"}))
+def test_rational_input_has_one_owner(name):
+    casts = _fraction_casts(_tree(name))
+    if name == "newton":
+        casts = [(owner, line) for owner, line in casts if owner != "as_rational"]
+    assert not casts, (name, casts)
+
+
+def test_fraction_cast_guard_sees_a_cast():
+    tree = ast.parse(
+        "_F1 = Fraction(1)\n"
+        "def as_rational(x):\n    return Fraction(x)\n"
+        "def f(p, d):\n    return [Fraction(x, d) for x in p], fractions.Fraction(*p)\n"
+    )
+    assert _fraction_casts(tree) == [("as_rational", 3), ("f", 5)]

@@ -89,7 +89,7 @@ class _SubFraction(Fraction):
 
 def test_as_rational_point_coerces_to_exact_fractions():
     """Entries that are exactly Fractions pass through; every other entry,
-    a Fraction subclass included, goes through ``Fraction``."""
+    a Fraction subclass included, goes through ``newton.as_rational``."""
     entries = (2, True, Fraction(3, 4), _SubFraction(5, 6), "1/2", " 3 ", 0.5)
     for point in (entries, (x for x in entries)):
         p = newton.as_rational_point(point)
@@ -110,6 +110,35 @@ def test_as_rational_point_coerces_to_exact_fractions():
                  ((1, 0), (Fraction(1), Fraction(0)), ("1", "0"))):
         certs = [poly.contains(point) for point in ones]
         assert certs[0] == certs[1] == certs[2]
+
+
+OUTSIDE_JSON = {"verdict": "outside", "w": ["1/2", "1/2"]}
+
+# each call puts x, one half where it is rational, into one rational entry
+RATIONAL_CALLS = {
+    "NewtonPolyhedron.contains":
+        lambda x: NewtonPolyhedron(parse_ideal("2,0;0,2")).contains((x, 1)),
+    "from_json_dict point": lambda x: MembershipCertificate.from_json_dict(
+        OUTSIDE_JSON, (x, 1)),
+    "from_json_dict w": lambda x: MembershipCertificate.from_json_dict(
+        {"verdict": "outside", "w": [x, "1/2"]}, (1, 1)),
+    "caratheodory_reduce point":
+        lambda x: caratheodory_reduce([(0, 0), (x, 0), (1, 0)], [Fraction(1, 3)] * 3),
+    "caratheodory_reduce weight":
+        lambda x: caratheodory_reduce([(0, 0), (1, 0)], [x, Fraction(1, 2)]),
+    "affinely_independent": lambda x: affinely_independent([(0, 0), (x, 0), (1, 0)]),
+}
+
+
+@pytest.mark.parametrize("call", RATIONAL_CALLS.values(), ids=RATIONAL_CALLS)
+def test_rationals_are_taken_exactly_or_refused(call):
+    """Every entry point takes its rationals through ``newton.as_rational``:
+    one half answers alike however it is written, and a value that is no
+    rational raises ValueError."""
+    assert repr(call(Fraction(1, 2))) == repr(call("1/2")) == repr(call(0.5))
+    for x in ("1/0", None, math.inf, math.nan):
+        with pytest.raises(ValueError, match="rational"):
+            call(x)
 
 
 def test_certificate_json_round_trip():
