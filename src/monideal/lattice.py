@@ -69,11 +69,26 @@ def minimalize(points: Iterable[Vec]) -> tuple[Vec, ...]:
     The up-closure of the result equals the up-closure of the input, and
     the result is an antichain.  Empty input gives an empty tuple.
 
-    One ascending-lex scan over the distinct points, with domination
-    decided by bitsets (the maxima problem of Kung, Luccio and Preparata,
-    J. ACM 1975, turned to minima).  Bit k of an int stands for the k-th
-    point.  A point q <=_pr p with q != p comes before p in lex order, so
-    only earlier indices can dominate: the i-th point starts from the mask
+    Each point is coerced through ``as_vec``; the distinct points, sorted
+    ascending lex, go to ``_minimal_sorted``, the one domination scan.  A
+    caller whose points are already distinct int tuples in ascending lex,
+    as ``newton.power`` decodes its sums, calls that scan directly.
+    """
+    pts = sorted({as_vec(p) for p in points})
+    if pts and any(len(p) != len(pts[0]) for p in pts):
+        raise DimensionMismatch("points of mixed dimensions")
+    return _minimal_sorted(pts)
+
+
+def _minimal_sorted(pts: list[Vec]) -> tuple[Vec, ...]:
+    """The minimal elements of ``pts``, distinct int tuples of one length
+    in ascending lex, in descending lex.  Nothing is checked.
+
+    One ascending-lex scan, with domination decided by bitsets (the
+    maxima problem of Kung, Luccio and Preparata, J. ACM 1975, turned to
+    minima).  Bit k of an int stands for the k-th point.  A point
+    q <=_pr p with q != p comes before p in lex order, so only earlier
+    indices can dominate: the i-th point starts from the mask
     (1 << i) - 1 of the points before it.  For each coordinate j after
     the first, below[v] has the bits of the points whose j-th entry is
     <= v, and ANDing below[p_j] into p's mask leaves the earlier points
@@ -86,9 +101,6 @@ def minimalize(points: Iterable[Vec]) -> tuple[Vec, ...]:
     each distinct value of each coordinate: small for exponents in a box,
     quadratic in N only when a coordinate takes nearly N distinct values.
     """
-    pts = sorted({as_vec(p) for p in points})
-    if pts and any(len(p) != len(pts[0]) for p in pts):
-        raise DimensionMismatch("points of mixed dimensions")
     belows = []
     for col in list(zip(*pts))[1:]:
         below: dict[int, int] = {}

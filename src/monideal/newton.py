@@ -396,9 +396,13 @@ def _affine_dependence(points: Sequence[RatVec]) -> list[Fraction] | None:
 
 
 def affinely_independent(points: Sequence[Iterable]) -> bool:
+    """Whether the points, all of one dimension, are affinely
+    independent; points of mixed dimensions raise ValueError."""
     pts = [tuple(map(as_rational, p)) for p in points]
     if not pts:
         return True
+    if any(len(p) != len(pts[0]) for p in pts):
+        raise ValueError("points of mixed dimensions")
     return _affine_dependence(pts) is None
 
 
@@ -456,7 +460,17 @@ def caratheodory_reduce(
 def power(ideal: MonomialIdeal, m: int) -> MonomialIdeal:
     """The m-th power: minimalized m-fold sums of generators.  m = 0 gives
     the unit ideal by convention, and m = 1 the ideal itself, whose
-    generators are already minimal."""
+    generators are already minimal.
+
+    For m >= 2 each generator is packed into one int, a field of ``shift``
+    bits per coordinate with the first coordinate highest, so that one
+    int addition adds every coordinate at once (Lamport, CACM 1975).  A
+    field of an m-fold sum is at most m * max exponent < 2**shift, so no
+    field carries into the next: the sums of the packed generators are
+    the packed sums, formed and deduplicated in C, and they sort
+    ascending as the vectors sort ascending lex.  The sorted sums are
+    decoded with shifts and a mask and go straight to the domination
+    scan of ``lattice.minimalize``."""
     m = lattice.as_int(m, "power")
     if m < 0:
         raise ValueError(f"power must be nonnegative, got {m}")
@@ -464,11 +478,18 @@ def power(ideal: MonomialIdeal, m: int) -> MonomialIdeal:
         return MonomialIdeal(ideal.dim, [(0,) * ideal.dim])
     if m == 1:
         return ideal
-    sums = {
-        tuple(map(sum, zip(*combo)))
-        for combo in itertools.combinations_with_replacement(ideal.generators, m)
-    }
-    return MonomialIdeal.from_antichain(ideal.dim, lattice.minimalize(sums))
+    shift = (m * max(map(max, ideal.generators))).bit_length() or 1
+    packed = []
+    for g in ideal.generators:
+        word = 0
+        for c in g:
+            word = word << shift | c
+        packed.append(word)
+    sums = sorted(set(map(sum, itertools.combinations_with_replacement(packed, m))))
+    mask = (1 << shift) - 1
+    fields = range(shift * (ideal.dim - 1), -1, -shift)
+    pts = list(zip(*([s >> f & mask for s in sums] for f in fields)))
+    return MonomialIdeal.from_antichain(ideal.dim, lattice._minimal_sorted(pts))
 
 
 def _closure_points(ideal: MonomialIdeal, poly: NewtonPolyhedron, m: int) -> Iterator[Vec]:
@@ -496,7 +517,7 @@ def _closure_points(ideal: MonomialIdeal, poly: NewtonPolyhedron, m: int) -> Ite
     verdict adds its functional, scaled to integers, as one new cut, and
     the column jumps again on that cut.
     """
-    bounds = tuple(max(g[j] for g in ideal.generators) for j in range(ideal.dim))
+    bounds = tuple(map(max, zip(*ideal.generators)))
     gens = set(ideal.generators)
     cuts = poly._cuts
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from monideal import newton
 from monideal import (
@@ -436,6 +436,12 @@ def test_caratheodory_validates_input():
         caratheodory_reduce([(0, 0), (1,)], [Fraction(1, 2), Fraction(1, 2)])
 
 
+@pytest.mark.parametrize("points", [[(0, 0), (1, 0, 5)], [(0, 0, 0), (1, 0)]])
+def test_affinely_independent_refuses_mixed_dimensions(points):
+    with pytest.raises(ValueError, match="points of mixed dimensions"):
+        affinely_independent(points)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_caratheodory_random_combinations(data):
@@ -690,16 +696,45 @@ ideals_up_to_4 = st.integers(1, 4).flatmap(
 )
 
 
-@given(ideals_up_to_4, st.integers(0, 3))
-def test_power_matches_brute_force(ideal, m):
-    """Every m-fold sum of generators (the empty sum at m = 0), filtered
-    pairwise to the ones no other sum lies below."""
+def power_reference(ideal, m):
+    """Every m-fold sum of generators (the empty sum at m = 0), added as
+    tuples and filtered pairwise to the ones no other sum lies below."""
     sums = [
         tuple(sum(g[j] for g in combo) for j in range(ideal.dim))
         for combo in itertools.combinations_with_replacement(ideal.generators, m)
     ]
-    assert power(ideal, m).generators == pairwise_minimal(sums)
+    return pairwise_minimal(sums)
+
+
+@given(ideals_up_to_4, st.integers(0, 3))
+def test_power_matches_brute_force(ideal, m):
+    assert power(ideal, m).generators == power_reference(ideal, m)
     assert power(ideal, 1) == ideal
+
+
+wide_ideals = st.integers(1, 5).flatmap(
+    lambda dim: st.lists(
+        st.tuples(*[st.integers(0, 3) | st.integers(0, 2**70)] * dim),
+        min_size=1,
+        max_size=5,
+    ).map(lambda gens: MonomialIdeal(dim, gens))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_ideals, st.integers(0, 5))
+@example(MonomialIdeal(3, [(0, 0, 0)]), 5)
+@example(MonomialIdeal(1, [(7,)]), 5)
+@example(MonomialIdeal(1, [(2**70,)]), 3)
+@example(MonomialIdeal(3, [(8, 0, 0), (0, 8, 1), (3, 5, 8)]), 2)
+@example(MonomialIdeal(2, [(2**68, 0), (0, 2**68), (2**67, 1)]), 4)
+@example(MonomialIdeal(5, [(2**70, 0, 1, 0, 3), (0, 1, 2**70, 2, 0), (1, 1, 1, 1, 1)]), 5)
+def test_power_packs_sums_without_carries(ideal, m):
+    """``power`` adds packed generators, a field per coordinate.  The
+    fields hold m * max exponent, and the examples put that exactly on a
+    power of two (16 and 2**70), take the unit ideal, whose fields are
+    all zero, and one variable, whose sums have one field."""
+    assert power(ideal, m).generators == power_reference(ideal, m)
 
 
 def test_closure_matches_committed_fixture():
@@ -774,6 +809,21 @@ def test_is_normal_on_large_closures_agrees_with_lambda_route(lam, verdict):
     spec = LambdaSpec(lam)
     assert is_normal(ilambda_generators(spec)) == verdict
     assert is_normal_lambda(spec).normal == verdict.normal
+
+
+def test_is_normal_agrees_with_lambda_route_in_five_variables():
+    """Criterion 05 in five variables: on all 56 sorted 5-tuples of
+    [1, 4]^5, and on every sorted 5-tuple of [1, 5]^5 that the lambda
+    route refutes, the two routes give the same verdict, and at a failure
+    the same failing power and witness."""
+    for lam in itertools.combinations_with_replacement(range(1, 6), 5):
+        spec = LambdaSpec(lam)
+        lv = is_normal_lambda(spec)
+        if lv.normal and 5 in lam:
+            continue  # the normal closures with an exponent 5 cost seconds
+        verdict = is_normal(ilambda_generators(spec))
+        expected = (lv.normal, *(lv.witness or (None, None)))
+        assert (verdict.normal, verdict.failing_power, verdict.witness) == expected, lam
 
 
 def test_is_normal_agrees_with_lambda_route_on_every_sorted_four_tuple():
