@@ -178,7 +178,7 @@ def cmd_reduce(args) -> dict:
         "lambda": list(spec.lam),
         "index": red.index,
         "ell": red.ell,
-        "lambda_prime": list(red.spec_prime.lam),
+        "lambda_prime": list(red.lam_prime),
         "relation": red.relation,
     }
 
@@ -214,7 +214,7 @@ def sweep_row(lam: tuple[int, ...], bound: int | None) -> list[str]:
         _bool(r1),
         window,
         str(win.bound),
-        format_vector(red.spec_prime.lam),
+        format_vector(red.lam_prime),
         red.relation,
     ]
 

@@ -300,8 +300,13 @@ class CongruenceReduction:
     spec: LambdaSpec
     index: int  # 1-based position that was bumped
     ell: int  # lcm of the other entries
-    spec_prime: LambdaSpec
+    lam_prime: Vec  # spec.lam with lam_index raised by ell
     relation: str  # "equivalent" | "forward-only"
+
+    @property
+    def spec_prime(self) -> LambdaSpec:
+        """The spec of the bumped tuple, built on each read."""
+        return LambdaSpec(self.lam_prime)
 
 
 def congruence_reduce(spec: LambdaSpec, i: int) -> CongruenceReduction:
@@ -318,4 +323,4 @@ def congruence_reduce(spec: LambdaSpec, i: int) -> CongruenceReduction:
     ell = lcm(*others) if others else 1
     bumped = spec.lam[: i - 1] + (spec.lam[i - 1] + ell,) + spec.lam[i:]
     relation = EQUIVALENT if spec.lam[i - 1] >= ell else FORWARD_ONLY
-    return CongruenceReduction(spec, i, ell, LambdaSpec(bumped), relation)
+    return CongruenceReduction(spec, i, ell, bumped, relation)

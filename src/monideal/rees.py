@@ -10,8 +10,9 @@ some generator has sigma value exactly one, which happens iff L + 1 lies
 in the scaled monoid; both routes are computed and must agree.
 
 ``ReesSemigroup`` is a view over the closure its spec keeps: the
-generators and their sigma values are built when they are read, and the
-sigma-one test reads the kept weights omega . beta directly.
+functional sigma, the generators and their sigma values are built when
+they are read, and the sigma-one test reads the kept weights
+omega . beta directly.
 """
 
 from __future__ import annotations
@@ -29,20 +30,24 @@ class ReesSemigroup(Frozen):
     """Generators and facet data of the semigroup of one LambdaSpec, read
     off the closure the spec keeps.
 
-    ``generators`` and ``sigmas`` are built on each read.  ``sigmas``
-    holds the sigma value of each generator, aligned with
-    ``generators``: omega_i for (e_i, 0), omega . beta - L for (beta, 1).
-    The betas of value 0, of weight omega . beta = L, span the facet."""
+    ``sigma``, ``generators`` and ``sigmas`` are built on each read.
+    ``sigma`` is the functional (omega, -L).  ``sigmas`` holds the sigma
+    value of each generator, aligned with ``generators``: omega_i for
+    (e_i, 0), omega . beta - L for (beta, 1).  The betas of value 0, of
+    weight omega . beta = L, span the facet."""
 
-    __slots__ = ("spec", "ideal", "sigma")
+    __slots__ = ("spec", "ideal")
 
     def __init__(self, spec: LambdaSpec):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "ideal", ilambda_generators(spec))
-        object.__setattr__(self, "sigma", spec.omega + (-spec.L,))
 
     def _args(self):
         return (self.spec,)
+
+    @property
+    def sigma(self) -> Vec:
+        return self.spec.omega + (-self.spec.L,)
 
     @property
     def generators(self) -> tuple[Vec, ...]:

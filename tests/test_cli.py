@@ -242,17 +242,28 @@ def test_sweep_row_scans_and_checks_almost_qn_once(monkeypatch):
 
 def test_sweep_rows_build_no_semigroup_tuples(monkeypatch):
     """A sweep row reads only the sigma-one generator, so it never builds
-    the semigroup's generators or sigma values: with both made to raise,
-    the 3 x 6 rows keep their pinned bytes."""
+    the semigroup's functional, generators or sigma values, and it reads
+    only the bumped tuple of the congruence reduction, so it builds one
+    spec: with the three made to raise and specs counted, the 3 x 6
+    rows keep their pinned bytes and build one spec each."""
 
     def refuse(self):
         raise AssertionError("a sweep row built the semigroup tuples")
 
-    for name in ("generators", "sigmas"):
+    for name in ("sigma", "generators", "sigmas"):
         monkeypatch.setattr(rees.ReesSemigroup, name, property(refuse))
+    specs = []
+    init = ilambda.LambdaSpec.__init__
+
+    def counted_init(self, lam):
+        specs.append(lam)
+        init(self, lam)
+
+    monkeypatch.setattr(ilambda.LambdaSpec, "__init__", counted_init)
     text = sweep_csv(3, 6, None, 1)
     digest = "85c630efedb13c1ffbf6b51bffab43cda0cab6a8473a296f5d2b3ec7e18cd256"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert len(specs) == text.count("\n") - 1 == 56
 
 
 def test_readme_quick_tour_values():
@@ -279,7 +290,7 @@ def test_readme_quick_tour_values():
     gap = f"({spec.L + 1} is not in <{', '.join(map(str, spec.omega))}>)"
     assert said["almost_quasinormal(spec)"].endswith(gap)
     relation = scope["congruence_reduce"](spec, 3).relation
-    assert said["congruence_reduce(spec, 3).spec_prime.lam"].endswith(", " + relation)
+    assert said["congruence_reduce(spec, 3).lam_prime"].endswith(", " + relation)
 
 
 def test_readme_commands_parse(capsys, tmp_path):

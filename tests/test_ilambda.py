@@ -542,6 +542,17 @@ def test_congruence_examples():
         congruence_reduce(LambdaSpec((2, 3)), 3)
 
 
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=4))
+def test_congruence_spec_prime_is_the_spec_of_lam_prime(lam):
+    """``congruence_reduce`` keeps only the bumped tuple; ``spec_prime``
+    builds its spec, at every index."""
+    spec = LambdaSpec(lam)
+    for i in range(1, spec.n + 1):
+        red = congruence_reduce(spec, i)
+        assert red.spec_prime == LambdaSpec(red.lam_prime)
+        assert red.spec_prime.lam == red.lam_prime
+
+
 def test_congruence_verdict_relation_on_small_cube():
     for lam in itertools.product(range(1, 4), repeat=3):
         spec = LambdaSpec(lam)
