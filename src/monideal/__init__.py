@@ -66,7 +66,6 @@ from .rees import (
     height_one_primes,
     r1_satisfied,
 )
-from .oracles import box_enumerate, in_gamma, le_pr
 
 __version__ = "0.1.0"
 
@@ -118,7 +117,4 @@ __all__ = [
     "grp_facet_check",
     "height_one_primes",
     "r1_satisfied",
-    "box_enumerate",
-    "in_gamma",
-    "le_pr",
 ]

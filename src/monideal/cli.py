@@ -46,7 +46,6 @@ from .newton import (
     is_normal,
     power,
 )
-from .oracles import closure_oracle, normality_oracle, window_split_oracle
 from .rees import ReesSemigroup, height_one_primes, r1_satisfied
 
 CSV_HEADER = [
@@ -90,12 +89,9 @@ def cmd_power_closure(args) -> dict:
 
 
 def cmd_normal(args) -> dict:
-    if args.force_enumeration and args.lam is None:
-        raise ValueError("--force-enumeration needs --lambda; "
-                         "the --gens route has no fast paths to skip")
     if args.lam is not None:
         spec = LambdaSpec.parse(args.lam)
-        verdict = is_normal_lambda(spec, force_enumeration=args.force_enumeration)
+        verdict = is_normal_lambda(spec)
         witness = None
         if verdict.witness is not None:
             p, alpha = verdict.witness
@@ -261,6 +257,9 @@ def seed_fixtures(outdir: str) -> list[str]:
     oracle route (exhaustive split search, power criterion, literal
     parts-maximization table, brute-force membership table) rather than
     the production algorithms."""
+    # imported here: the brute-force layer serves only this command
+    from .oracles import closure_oracle, normality_oracle, window_split_oracle
+
     os.makedirs(outdir, exist_ok=True)
     spec = LambdaSpec((2, 3, 7))
     found = normality_oracle(spec)
@@ -334,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--gens", default=None)
     group.add_argument("--lambda", dest="lam", default=None, help='e.g. "2,3,7"')
-    p.add_argument("--force-enumeration", action="store_true",
-                   help="skip the fast paths (needs --lambda)")
     _leaf(p, cmd_normal)
 
     p = commands.add_parser("ilambda-gens",

@@ -3,7 +3,8 @@
 import itertools
 import random
 
-from monideal import MonomialIdeal, le_pr
+from monideal import MonomialIdeal
+from monideal.oracles import le_pr
 
 
 def antichains_2d(max_exp):

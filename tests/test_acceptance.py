@@ -21,7 +21,6 @@ from monideal import (
     ReesSemigroup,
     affinely_independent,
     almost_quasinormal,
-    box_enumerate,
     caratheodory_reduce,
     grp_facet_check,
     ilambda_generators,
@@ -36,7 +35,7 @@ from monideal import (
     r1_satisfied,
 )
 from monideal.cli import sweep_csv
-from monideal.oracles import closure_oracle
+from monideal.oracles import box_enumerate, closure_oracle
 
 from conftest import antichains_2d, random_ideal_corpus
 

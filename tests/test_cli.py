@@ -60,8 +60,6 @@ def test_normal_lambda_command(capsys):
     }
     data = run_json(capsys, "normal", "--lambda", "3,3,3")
     assert data["normal"] is True and data["method"] == "gcd"
-    data = run_json(capsys, "normal", "--lambda", "3,3,3", "--force-enumeration")
-    assert data["normal"] is True and data["method"] == "exhaustive"
 
 
 def test_normal_gens_command(capsys):
@@ -75,10 +73,12 @@ def test_normal_requires_exactly_one_input_form(capsys):
     capsys.readouterr()
 
 
-def test_force_enumeration_needs_the_lambda_route(capsys):
-    code, out, err = run_cli(capsys, "normal", "--gens", "2,0;0,2", "--force-enumeration")
+def test_normal_has_no_force_enumeration_option(capsys):
+    """Skipping the fast paths is a library keyword for the tests, not a
+    CLI option: argparse refuses the flag."""
+    code, out, err = run_cli(capsys, "normal", "--lambda", "3,3,3", "--force-enumeration")
     assert code == 2 and out == ""
-    assert err.startswith("error: --force-enumeration needs --lambda")
+    assert "unrecognized arguments: --force-enumeration" in err
 
 
 def test_ilambda_gens_command(capsys):
@@ -317,12 +317,6 @@ def test_readme_commands_parse(capsys, tmp_path):
         assert data == json.loads(shown), line
 
 
-def test_sweep_deterministic_across_worker_counts(tmp_path):
-    one = sweep_csv(3, 4, None, 1)
-    three = sweep_csv(3, 4, None, 3)
-    assert one == three
-
-
 @pytest.mark.parametrize(
     "n, max_lambda, digest",
     [
@@ -398,21 +392,35 @@ def test_sweep_workers_capped_at_cpu_count(monkeypatch, capsys):
     assert pools == [3]
 
 
-def test_cli_import_leaves_multiprocessing_unloaded():
-    """Importing the CLI loads no process pool: sweep_csv imports it only
-    when it runs workers, so other commands start without it."""
+def _fresh_import_leaves(module: str, unloaded: set[str]) -> list[str]:
+    """The names in ``unloaded`` that ``import module`` puts into
+    ``sys.modules`` of a fresh interpreter."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     code = (
-        "import sys, monideal.cli; "
-        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+        f"import json, sys, {module}; "
+        "print(json.dumps(sorted(set(sys.argv[1:]) & set(sys.modules))))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, "-c", code, *unloaded], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    """Importing the CLI loads no process pool: sweep_csv imports it only
+    when it runs workers, so other commands start without it."""
+    unloaded = {"concurrent.futures.process", "multiprocessing"}
+    assert _fresh_import_leaves("monideal.cli", unloaded) == []
+
+
+def test_cli_import_leaves_the_oracles_unloaded():
+    """Neither the package nor the CLI loads the brute-force layer:
+    seed_fixtures imports it only when it runs."""
+    for module in ("monideal", "monideal.cli"):
+        assert _fresh_import_leaves(module, {"monideal.oracles"}) == [], module
 
 
 def test_seed_fixtures_round_trip(capsys, tmp_path):

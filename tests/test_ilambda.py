@@ -18,14 +18,12 @@ from monideal import (
     FORWARD_ONLY,
     LambdaSpec,
     ReesSemigroup,
-    box_enumerate,
     congruence_reduce,
     decompose,
     express_on_facet,
     format_ideal,
     grp_facet_check,
     ilambda_generators,
-    in_gamma,
     integral_closure,
     is_normal_lambda,
     j_ideal,
@@ -34,7 +32,13 @@ from monideal import (
 from monideal import ilambda
 from monideal.ilambda import _minima
 from monideal.lattice import minimal_points
-from monideal.oracles import normality_oracle, omega_dot, split_oracle
+from monideal.oracles import (
+    box_enumerate,
+    in_gamma,
+    normality_oracle,
+    omega_dot,
+    split_oracle,
+)
 
 from conftest import climb
 

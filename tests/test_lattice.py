@@ -16,11 +16,9 @@ from monideal import (
     NewtonPolyhedron,
     ReesSemigroup,
     ZeroIdeal,
-    box_enumerate,
     conductor,
     format_ideal,
     format_vector,
-    le_pr,
     minimalize,
     parse_ideal,
     parse_vector,
@@ -30,6 +28,7 @@ from monideal.lattice import any_below, minimal_points
 from monideal.newton import INSIDE, integral_closure, power
 from monideal.monoid import quasinormal_window
 from monideal.rees import express_on_facet, grp_facet_check
+from monideal.oracles import box_enumerate, le_pr
 
 from conftest import climb, pairwise_minimal
 

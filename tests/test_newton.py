@@ -19,7 +19,6 @@ from monideal import (
     NewtonPolyhedron,
     NormalityVerdict,
     affinely_independent,
-    box_enumerate,
     caratheodory_reduce,
     format_ideal,
     ilambda_generators,
@@ -27,12 +26,11 @@ from monideal import (
     is_integrally_closed,
     is_normal,
     is_normal_lambda,
-    le_pr,
     parse_ideal,
     power,
 )
 from monideal.lattice import ConsistencyError
-from monideal.oracles import closure_oracle, dot, power_membership
+from monideal.oracles import box_enumerate, closure_oracle, dot, le_pr, power_membership
 
 from conftest import pairwise_minimal, random_ideal_corpus
 
