@@ -23,11 +23,13 @@ w.a < 1.
 
 Integral closure is the set of lattice points of the polyhedron; its
 minimal generators lie below the componentwise maximum of the input
-generators, and one staircase walk up the columns of that box, with
-certificate reuse, finds them.  An ideal is normal when all its powers
-are integrally closed; checking powers 1..n-1 suffices in n variables.
-The walk yields each generator as it finds it, so a normality test stops
-at the first closure generator outside a power.
+generators, and one staircase walk up the columns of that box, row by
+row, with certificate reuse, finds them.  The walk keeps the staircase
+itself and floors each column inline by the cached cuts, whose offsets
+it takes once per row.  An ideal is normal when all its powers are
+integrally closed; checking powers 1..n-1 suffices in n variables.  The
+walk yields each generator as it finds it, so a normality test stops at
+the first closure generator outside a power.
 
 The powers need no polyhedron of their own: NP(I^m) = m.NP(I), so the
 closure of I^m is the set of lattice points a with a/m in NP(I).  One
@@ -54,7 +56,6 @@ from .lattice import (
     MonomialIdeal,
     Vec,
     format_vector,
-    minimal_points,
     parse_vector,
     require_same_dim,
 )
@@ -320,8 +321,12 @@ class NewtonPolyhedron(Frozen):
     ``_cuts`` caches the outside functionals that the closure scan
     ``_closure_points`` learns, as (numerators, denominator) pairs; its
     callers are ``integral_closure``, ``is_integrally_closed`` and
-    ``is_normal``.  Only that scan reads it or appends to it, and
-    pickling or copying starts it afresh.
+    ``is_normal``.  Only that scan reads it or appends to it: it reads
+    the list at the start of each row of its walk and appends each cut
+    it learns, so a cut that another scan of the same polyhedron,
+    interleaved with it, learns reaches it from its next row on.
+    Nothing in the library interleaves two scans.  Pickling or copying
+    starts the list afresh.
     """
 
     __slots__ = ("ideal", "_cuts")
@@ -500,50 +505,94 @@ def _closure_points(ideal: MonomialIdeal, poly: NewtonPolyhedron, m: int) -> Ite
     cached on ``poly``, which all powers share.  A caller that stops
     early stops the scan: no LP runs past the last point it took.
 
-    The scan is ascending lex and the polyhedron is up-closed, so a point
-    reaches the membership test only when no generator found so far lies
-    below it.  Such a point lies in the ideal only if it is one of its
-    generators: any generator below it is in the closure and comes
-    earlier in the scan, so it would have been found or dominated.  A set
-    lookup therefore replaces the ideal membership test.
+    The walk goes up the columns c = (a_1..a_{n-1}) of the box below
+    the componentwise maximum of the generators, in ascending lex, row by
+    row: a row is a run of columns with one head (a_1..a_{n-2}) that
+    differ only in the column coordinate x = a_{n-1}.  Each column has a
+    cap, the least of least[c - e_i] over c_i > 0: from that height up
+    an earlier minimal point lies below (the staircase of Miller and
+    Sturmfels, ch. 3).  For a head coordinate the columns c - e_i of a
+    whole row lie one stride back, as one slice of ``least``, and
+    c - e_{n-1} is the column just walked.  A column with cap 0 holds no
+    minimal point, and neither does the rest of its row, whose caps are
+    no larger.  In one variable the walk is one row of one column, at
+    x = 0, so there a cut's step never counts.
 
-    Each column c = (a_1..a_{n-1}) jumps to its floor by the cached cuts
-    before any LP: a cut (num, den) with num_n > 0 lifts the height t to
+    A point below a column's cap reaches the membership test only when
+    no generator found so far lies below it.  Such a point lies in the
+    ideal only if it is one of its generators: any generator below it is
+    in the closure and comes earlier in the scan, so it would have been
+    found or dominated.  A set lookup therefore replaces the ideal
+    membership test.
+
+    Each column jumps to its floor by the cached cuts before any LP: a
+    cut (num, den) with num_n > 0 lifts the height t to
     ceil((m*den - num'.c) / num_n), and one with num_n = 0 that c
     violates closes the column.  The heights jumped over are exactly
     those a cached cut rejects, so the same LPs run, in the same order,
-    as on a climb one height at a time.  The LP runs at a/m through
-    ``poly.contains``, which re-verifies its certificate; an outside
-    verdict adds its functional, scaled to integers, as one new cut, and
-    the column jumps again on that cut.
+    as on a climb one height at a time.  A row takes each cut's offset
+    once, at its start, as (base, step, tail) = (m*den - num.head,
+    num_{n-1}, num_n); since num'.c = num.head + num_{n-1} x, the short
+    m*den - num'.c of column x is base - step*x.  The LP runs at a/m
+    through ``poly.contains``, which re-verifies its certificate; an
+    outside verdict adds its functional, scaled to integers, as one new
+    cut, to ``poly._cuts`` and to the row's offsets, and the column
+    jumps again on that cut.  So a row sees the cuts cached at its start
+    and every cut it learns; a cut that another scan of the same
+    polyhedron, interleaved with this one, learns applies from the next
+    row on.  Nothing in the library interleaves two scans.
     """
-    bounds = tuple(map(max, zip(*ideal.generators)))
+    *cols, top = map(max, zip(*ideal.generators))
     gens = set(ideal.generators)
     cuts = poly._cuts
-
-    def floor(col: Vec, cap: int) -> int:
-        t, new = 0, cuts
-        while True:
-            # every cut's numerators are >= 0; map stops at the end of col
-            for num, den in new:
-                short = m * den - sum(map(mul, num, col))
-                if num[-1]:
-                    t = max(t, -(-short // num[-1]))
-                elif short > 0:
-                    return cap
-            if t >= cap:
-                return cap
-            a = col + (t,)
-            if a in gens:
-                return t
-            cert = poly.contains(tuple(Fraction(x, m) for x in a))
-            if cert.verdict == INSIDE:
-                return t
-            den = math.lcm(*(x.denominator for x in cert.w))
-            new = ((tuple(_scaled(cert.w, den)), den),)
-            cuts.extend(new)
-
-    return minimal_points(bounds, floor)
+    *heads, last = cols or (0,)
+    k = len(heads)  # the column coordinate's index in a cut
+    width = last + 1
+    strides = [math.prod(b + 1 for b in cols[i + 1 :]) for i in range(k)]
+    full = [top + 1] * width
+    least: list[int] = []
+    for head in itertools.product(*(range(b + 1) for b in heads)):
+        # every cut's numerators are >= 0; map stops at the end of head
+        offsets = [(m * den - sum(map(mul, num, head)), num[k], num[-1]) for num, den in cuts]
+        j = len(least)
+        slices = [least[j - s : j - s + width] for c, s in zip(head, strides) if c]
+        # c - e_{n-1} is the column just walked, so its height t bounds the cap
+        t = top + 1
+        for x, cap in enumerate(map(min, full, *slices) if slices else full):
+            if t < cap:
+                cap = t
+            if not cap:
+                # an earlier minimal point lies below the rest of the row
+                least += [0] * (width - x)
+                break
+            t, new = 0, offsets
+            while True:
+                for base, step, tail in new:
+                    short = base - step * x
+                    if tail:
+                        lift = -(-short // tail)
+                        if lift > t:
+                            t = lift
+                    elif short > 0:
+                        t = cap
+                        break
+                if t >= cap:
+                    t = cap
+                    break
+                a = head + (x, t) if cols else (t,)
+                if a in gens:
+                    break
+                cert = poly.contains(tuple(Fraction(v, m) for v in a))
+                if cert.verdict == INSIDE:
+                    break
+                den = math.lcm(*(v.denominator for v in cert.w))
+                num = tuple(_scaled(cert.w, den))
+                cuts.append((num, den))
+                new = [(m * den - sum(map(mul, num, head)), num[k], num[-1])]
+                offsets += new
+            least.append(t)
+            if t < cap:
+                yield a
 
 
 def integral_closure(

@@ -1,6 +1,7 @@
-"""Shared corpus builders for the test suite."""
+"""Shared corpus builders and reference scans for the test suite."""
 
 import itertools
+import math
 import random
 
 from monideal import MonomialIdeal
@@ -46,6 +47,60 @@ def pairwise_minimal(points):
             reverse=True,
         )
     )
+
+
+def minimal_points(bounds, floor):
+    """The reference staircase: the minimal points, ascending lex, of an
+    up-closed set S restricted to the box 0 <= a <= bounds, yielded as
+    the walk finds them.
+
+    Each column c = (a_1..a_{n-1}) has a cap, the least of least[c - e_i]
+    over c_i > 0: from that height up an earlier minimal point lies below
+    (the staircase of Miller-Sturmfels, ch. 3).  ``floor(c, cap)`` is
+    called once per column whose cap is positive, in ascending lex, and
+    must return the least t < cap with c + (t,) in S, or cap if there is
+    none; c + (t,) is then a minimal point.  A column with cap 0 holds no
+    minimal point and gets no call.  The floor sees only points no
+    minimal point found so far lies below, so it may keep state across
+    calls (cached cuts, say) and may jump over heights it knows to lie
+    outside S.
+
+    A point is yielded right after the floor call of its column, before
+    the next column is asked, so a caller that stops at the first point
+    it wants makes no floor call past that point's column.  The Newton
+    closure scan walks the same staircase with its floor inline.
+    """
+    *cols, top = bounds
+    if not cols:
+        t = floor((), top + 1)
+        if t <= top:
+            yield (t,)
+        return
+    # least[k] is the least member height of the k-th column in product
+    # order.  A row is a run of columns that differ only in their last
+    # coordinate.  For a head coordinate i, the columns c - e_i of a whole
+    # row lie strides[i] places back, as one slice of least
+    *heads, last = cols
+    width = last + 1
+    strides = [math.prod(b + 1 for b in cols[i + 1 :]) for i in range(len(heads))]
+    full = [top + 1] * width
+    least = []
+    for head in itertools.product(*(range(b + 1) for b in heads)):
+        k = len(least)
+        slices = [least[k - s : k - s + width] for c, s in zip(head, strides) if c]
+        # c - e_last is the column just walked, so its height t bounds the cap
+        t = top + 1
+        for x, cap in enumerate(map(min, full, *slices) if slices else full):
+            if t < cap:
+                cap = t
+            if not cap:
+                # an earlier minimal point lies below the rest of the row
+                least += [0] * (width - x)
+                break
+            t = floor(head + (x,), cap)
+            least.append(t)
+            if t < cap:
+                yield head + (x, t)
 
 
 def climb(member):

@@ -31,7 +31,6 @@ from monideal import (
 )
 from monideal import ilambda
 from monideal.ilambda import _minima
-from monideal.lattice import minimal_points
 from monideal.oracles import (
     box_enumerate,
     in_gamma,
@@ -40,7 +39,7 @@ from monideal.oracles import (
     split_oracle,
 )
 
-from conftest import climb
+from conftest import climb, minimal_points
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

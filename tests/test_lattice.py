@@ -7,7 +7,7 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from monideal import (
     DimensionMismatch,
@@ -24,13 +24,13 @@ from monideal import (
     parse_vector,
 )
 from monideal.ilambda import congruence_reduce, decompose, ilambda_generators
-from monideal.lattice import any_below, minimal_points
+from monideal.lattice import any_below
 from monideal.newton import INSIDE, integral_closure, power
 from monideal.monoid import quasinormal_window
 from monideal.rees import express_on_facet, grp_facet_check
 from monideal.oracles import box_enumerate, le_pr
 
-from conftest import climb, pairwise_minimal
+from conftest import climb, minimal_points, pairwise_minimal
 
 small_vec = st.lists(st.integers(0, 6), min_size=1, max_size=4).map(tuple)
 vec3 = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
@@ -347,15 +347,30 @@ def scaled_member(poly, a, m):
     return False
 
 
-@given(st.data())
-def test_newton_column_floor_runs_the_climbs_lps(data):
+@st.composite
+def scan_ideals(draw):
+    """Ideals in 1 to 4 variables, entries up to 9 - 2n."""
+    dim = draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(0, 9 - 2 * dim)] * dim)
+    return MonomialIdeal(dim, draw(st.lists(point, min_size=1, max_size=6)))
+
+
+@given(scan_ideals())
+# one variable: one column, whose first LP learns the cut that lifts it
+@example(MonomialIdeal(1, [(3,)]))
+# two variables, no head coordinate: the LP at (0,0) learns 3a + 2b >= 6,
+# which lifts column 1 to height 2
+@example(parse_ideal("2,0;0,3"))
+# (x^3, xz, y^2): the first LP of row a_1 = 1 learns the cut that lifts
+# that row's column a_2 = 1
+@example(parse_ideal("3,0,0;1,0,1;0,2,0"))
+def test_newton_column_floor_runs_the_climbs_lps(ideal):
     """The closure scan, whose floor jumps by the cached cuts, returns the
     generators a climb over ``a in gens or scaled_member`` finds, runs
     the LPs it runs in the same order, and leaves the same cuts, power by
-    power on one shared polyhedron as ``is_normal`` does."""
-    dim = data.draw(st.integers(1, 4))
-    point = st.tuples(*[st.integers(0, 9 - 2 * dim)] * dim)
-    ideal = MonomialIdeal(dim, data.draw(st.lists(point, min_size=1, max_size=6)))
+    power on one shared polyhedron as ``is_normal`` does.  The climb goes
+    through the reference staircase ``minimal_points``."""
+    dim = ideal.dim
     jumping, climbing = RecordedPolyhedron(ideal), RecordedPolyhedron(ideal)
     for m in range(1, max(2, dim)):
         pw = power(ideal, m)

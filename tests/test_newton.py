@@ -931,6 +931,9 @@ def lp_points(run):
 
 @settings(max_examples=100, deadline=None)
 @given(scan_ideals())
+# the witness (1,1,2) of (xz^3, y^3) has the LP point (1,2,1) after it in
+# its row a_1 = 1: the walk yields the witness before asking that column
+@example(parse_ideal("1,0,3;0,3,0"))
 def test_no_lp_runs_past_the_witness(ideal):
     """On the power that fails, no LP point a/m has a lex-after the
     witness: the scan stops there.  The same holds for the one scan of
