@@ -37,7 +37,11 @@ NewtonPolyhedron(I) serves every power.  Its LPs run over the r
 generators of I at the point a/m, not over the generators of I^m, and
 the outside functionals it learns are kept on it: w, stored as
 (numerators, denominator), has w.g >= 1 on NP(I), so num.a < m*den puts
-a outside the closure of I^m for every m at once.
+a outside the closure of I^m for every m at once.  The first scan seeds
+that cache, with no LP, with the lexicographically least point of the
+blocker {w >= 0 : w.g >= 1 for every generator g}.  It is a facet of
+NP(I) (Fulkerson 1971), and it separates the origin, where every scan's
+first column starts.
 """
 
 from __future__ import annotations
@@ -318,15 +322,19 @@ def _phase1(gens: Sequence[Vec], b: Sequence[int], q: int):
 class NewtonPolyhedron(Frozen):
     """Membership oracle for conv(generators) + R^n_{>=0} of one ideal.
 
-    ``_cuts`` caches the outside functionals that the closure scan
-    ``_closure_points`` learns, as (numerators, denominator) pairs; its
-    callers are ``integral_closure``, ``is_integrally_closed`` and
-    ``is_normal``.  Only that scan reads it or appends to it: it reads
-    the list at the start of each row of its walk and appends each cut
-    it learns, so a cut that another scan of the same polyhedron,
-    interleaved with it, learns reaches it from its next row on.
-    Nothing in the library interleaves two scans.  Pickling or copying
-    starts the list afresh.
+    ``_cuts`` caches valid cuts, (numerators, denominator) pairs w with
+    w.g >= 1 on every generator, for the closure scan
+    ``_closure_points``; its callers are ``integral_closure``,
+    ``is_integrally_closed`` and ``is_normal``.  Only that scan reads it
+    or appends to it.  A scan that finds it empty first appends the
+    seed, the lex-min point of the blocker, which needs no LP; the unit
+    ideal has none.  Every later entry is an outside functional that a
+    scan learns.  A scan reads the list at the start of each row of its
+    walk and appends each cut it learns, so a cut that another scan of
+    the same polyhedron, interleaved with it, learns reaches it from its
+    next row on.  Nothing in the library interleaves two scans.
+    Pickling or copying starts the list afresh.  The constructor adds no
+    seed: a polyhedron that only answers ``contains`` never needs one.
     """
 
     __slots__ = ("ideal", "_cuts")
@@ -497,6 +505,53 @@ def power(ideal: MonomialIdeal, m: int) -> MonomialIdeal:
     return MonomialIdeal.from_antichain(ideal.dim, lattice._minimal_sorted(pts))
 
 
+def _blocker_lex_min(gens: Sequence[Vec]) -> tuple[Vec, int] | None:
+    """The lexicographically least point w of the blocker
+    B = {w >= 0 : w.g >= 1 for every generator g}, as (num, den) with
+    w = num / den and gcd(num, den) = 1; None when a generator is zero,
+    which leaves B empty.
+
+    Once w_1..w_{k-1} are fixed, w_k is bounded below only by the
+    generators whose last nonzero coordinate is k, so it is
+    max(0, max_g (1 - sum_{i<k} w_i g_i) / g_k) over them.  One pass
+    computes it in integers over a running denominator, in O(r n).
+
+    B lies in R^n_{>=0}, so it has no line, and its lex-min point is a
+    vertex.  NP(I) and B are a blocking pair, so the vertices of B are
+    the facets w.a >= 1 of NP(I) other than the coordinate ones
+    (Fulkerson, "Blocking and anti-blocking pairs of polyhedra", Math.
+    Programming 1, 1971; Schrijver, Theory of Linear and Integer
+    Programming, 1986, sec. 9.2).  The first nonempty group has
+    w_i = 0 below its k, so its largest 1 / g_k is positive and tight:
+    min w.g = 1.  On the closure of (x_1^l_1, .., x_n^l_n) the point is
+    omega / L, its one compact facet.
+    """
+    n = len(gens[0])
+    groups: list[list[Vec]] = [[] for _ in range(n)]
+    for g in gens:
+        k = n - 1
+        while not g[k]:
+            if not k:
+                return None
+            k -= 1
+        groups[k].append(g)
+    num, den = [0] * n, 1
+    for k, group in enumerate(groups):
+        # the largest (den - num.g) / g_k, as p / q with q > 0, if positive
+        p, q = 0, 1
+        for g in group:
+            short = den - sum(map(mul, num, g))
+            if short * q > p * g[k]:
+                p, q = short, g[k]
+        if p:
+            # w_k = p / (q den): the denominator takes the factor q
+            num = [v * q for v in num]
+            num[k] = p
+            den *= q
+    f = math.gcd(den, *num)
+    return tuple(v // f for v in num), den // f
+
+
 def _closure_points(ideal: MonomialIdeal, poly: NewtonPolyhedron, m: int) -> Iterator[Vec]:
     """The minimal generators of the integral closure of ``ideal``, the
     m-th power (m >= 1) of ``poly.ideal``, in ascending lex, each yielded
@@ -525,19 +580,26 @@ def _closure_points(ideal: MonomialIdeal, poly: NewtonPolyhedron, m: int) -> Ite
     found or dominated.  A set lookup therefore replaces the ideal
     membership test.
 
+    A scan that finds ``poly._cuts`` empty seeds it first with
+    ``_blocker_lex_min`` of the generators of ``poly.ideal``, re-checked
+    in integers: num >= 0 and min num.g == den, else ConsistencyError.
+    The seed is a facet of NP(poly.ideal), so every cached cut is one,
+    and it rejects the origin, so no scan starts with an LP there.  It
+    reads only the generators.
+
     Each column jumps to its floor by the cached cuts before any LP: a
     cut (num, den) with num_n > 0 lifts the height t to
     ceil((m*den - num'.c) / num_n), and one with num_n = 0 that c
     violates closes the column.  The heights jumped over are exactly
     those a cached cut rejects, so the same LPs run, in the same order,
-    as on a climb one height at a time.  A row takes each cut's offset
-    once, at its start, as (base, step, tail) = (m*den - num.head,
-    num_{n-1}, num_n); since num'.c = num.head + num_{n-1} x, the short
-    m*den - num'.c of column x is base - step*x.  The LP runs at a/m
-    through ``poly.contains``, which re-verifies its certificate; an
-    outside verdict adds its functional, scaled to integers, as one new
-    cut, to ``poly._cuts`` and to the row's offsets, and the column
-    jumps again on that cut.  So a row sees the cuts cached at its start
+    as on a climb one height at a time that starts from the same cuts.
+    A row takes each cut's offset once, at its start, as (base, step,
+    tail) = (m*den - num.head, num_{n-1}, num_n); since num'.c =
+    num.head + num_{n-1} x, the short m*den - num'.c of column x is
+    base - step*x.  The LP runs at a/m through ``poly.contains``, which
+    re-verifies its certificate; an outside verdict adds its functional,
+    scaled to integers, as one new cut, to ``poly._cuts`` and to the
+    row's offsets, and the column jumps again on that cut.  So a row sees the cuts cached at its start
     and every cut it learns; a cut that another scan of the same
     polyhedron, interleaved with this one, learns applies from the next
     row on.  Nothing in the library interleaves two scans.
@@ -545,6 +607,13 @@ def _closure_points(ideal: MonomialIdeal, poly: NewtonPolyhedron, m: int) -> Ite
     *cols, top = map(max, zip(*ideal.generators))
     gens = set(ideal.generators)
     cuts = poly._cuts
+    if not cuts:
+        seed = _blocker_lex_min(poly.ideal.generators)
+        if seed is not None:
+            num, den = seed
+            if min(num) < 0 or min(sum(map(mul, num, g)) for g in poly.ideal.generators) != den:
+                raise ConsistencyError(f"the lex-min blocker point {seed} fails a generator")
+            cuts.append(seed)
     *heads, last = cols or (0,)
     k = len(heads)  # the column coordinate's index in a cut
     width = last + 1

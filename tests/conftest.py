@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 from monideal import MonomialIdeal
 from monideal.oracles import le_pr
@@ -114,3 +115,23 @@ def climb(member):
         return t
 
     return floor
+
+
+def lex_min_blocker(gens):
+    """Reference lex-min point of the blocker {w >= 0 : w.g >= 1 for every
+    generator g}, in Fractions: each w_k in turn is the least value that
+    the generators with no entry past k allow once w_1..w_{k-1} are
+    fixed.  Returned as (num, den) in lowest terms, or None when a
+    generator is zero."""
+    if not all(any(g) for g in gens):
+        return None
+    w = []
+    for k in range(len(gens[0])):
+        bounds = [
+            (1 - sum(map(Fraction.__mul__, w, g), Fraction(0))) / g[k]
+            for g in gens
+            if g[k] and not any(g[k + 1 :])
+        ]
+        w.append(max([Fraction(0), *bounds]))
+    den = math.lcm(*(x.denominator for x in w))
+    return tuple(int(x * den) for x in w), den

@@ -30,7 +30,7 @@ from monideal.monoid import quasinormal_window
 from monideal.rees import express_on_facet, grp_facet_check
 from monideal.oracles import box_enumerate, le_pr
 
-from conftest import climb, minimal_points, pairwise_minimal
+from conftest import climb, lex_min_blocker, minimal_points, pairwise_minimal
 
 small_vec = st.lists(st.integers(0, 6), min_size=1, max_size=4).map(tuple)
 vec3 = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
@@ -356,22 +356,31 @@ def scan_ideals(draw):
 
 
 @given(scan_ideals())
-# one variable: one column, whose first LP learns the cut that lifts it
+# one variable: one column, which the seeded cut a >= 3 lifts to the
+# generator with no LP
 @example(MonomialIdeal(1, [(3,)]))
-# two variables, no head coordinate: the LP at (0,0) learns 3a + 2b >= 6,
-# which lifts column 1 to height 2
+# two variables, no head coordinate: the seeded cut 3a + 2b >= 6 lifts
+# column 0 to height 3 and column 1 to height 2
 @example(parse_ideal("2,0;0,3"))
-# (x^3, xz, y^2): the first LP of row a_1 = 1 learns the cut that lifts
-# that row's column a_2 = 1
-@example(parse_ideal("3,0,0;1,0,1;0,2,0"))
+# (y^2, x^2 y): past the seeded cut b >= 1, the LP at (0,1) learns
+# a + 2b >= 4, which lifts column 1 to height 2
+@example(parse_ideal("0,2;2,1"))
+# (z^2, x y^2 z): the first LP of row a_1 = 1, at (1,0,1), learns
+# b + 2c >= 4, which lifts that row's column a_2 = 1 to height 2
+@example(parse_ideal("0,0,2;1,2,1"))
 def test_newton_column_floor_runs_the_climbs_lps(ideal):
     """The closure scan, whose floor jumps by the cached cuts, returns the
     generators a climb over ``a in gens or scaled_member`` finds, runs
     the LPs it runs in the same order, and leaves the same cuts, power by
-    power on one shared polyhedron as ``is_normal`` does.  The climb goes
-    through the reference staircase ``minimal_points``."""
+    power on one shared polyhedron as ``is_normal`` does.  Both start
+    from the seed, the reference lex-min point of the blocker, which the
+    scan caches on its first power.  The climb goes through the reference
+    staircase ``minimal_points``."""
     dim = ideal.dim
     jumping, climbing = RecordedPolyhedron(ideal), RecordedPolyhedron(ideal)
+    seed = lex_min_blocker(ideal.generators)
+    if seed is not None:
+        climbing._cuts.append(seed)
     for m in range(1, max(2, dim)):
         pw = power(ideal, m)
         gens = set(pw.generators)

@@ -32,7 +32,7 @@ from monideal import (
 from monideal.lattice import ConsistencyError
 from monideal.oracles import box_enumerate, closure_oracle, dot, le_pr, power_membership
 
-from conftest import pairwise_minimal, random_ideal_corpus
+from conftest import lex_min_blocker, pairwise_minimal, random_ideal_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -949,22 +949,25 @@ def test_no_lp_runs_past_the_witness(ideal):
 
 
 def test_integrally_closed_skips_the_lps_past_its_witness():
-    """The full closure scan of (x^4 z^2, y^4 z^4) runs 6 LPs, the last
-    2 past the witness (1,3,4); ``is_integrally_closed`` runs the first 4
-    and stops."""
+    """The full closure scan of (x^4 z^2, y^4 z^4) runs 5 LPs, the last
+    2 past the witness (1,3,4); ``is_integrally_closed`` runs the first 3
+    and stops.  The seeded cut z >= 2 lifts the first column to (0,0,2),
+    so no LP runs at the origin."""
     ideal = parse_ideal("4,0,2;0,4,4")
     closure, full = lp_points(lambda: integral_closure(ideal))
     verdict, lazy = lp_points(lambda: is_integrally_closed(ideal))
     assert verdict == (False, (1, 3, 4))
     assert min(g for g in closure.generators if g not in ideal.generators) == (1, 3, 4)
-    assert len(full) == 6 and lazy == full[:4]
-    assert all(a > (1, 3, 4) for _, a in full[4:])
+    assert full == [(1, a) for a in ((0, 0, 2), (0, 4, 2), (1, 3, 4), (2, 2, 3), (3, 1, 3))]
+    assert lazy == full[:3]
+    assert all(a > (1, 3, 4) for _, a in full[3:])
 
 
 def test_is_normal_runs_every_lp_on_the_base_ideal(monkeypatch):
     """All three powers of this normal ideal are scanned on NP(I) with one
-    cut cache: 5 LPs of 4 columns each, 20 columns in all.  Scanning each
-    power on its own polyhedron took 12 LPs and 152 columns."""
+    cut cache, seeded with the facet a_2 + a_4 >= 1: 4 LPs of 4 columns each,
+    16 columns in all, at the points a/m below.  Scanning each power on
+    its own unseeded polyhedron took 12 LPs and 152 columns."""
     ideal = parse_ideal("1,1,0,0;1,0,0,2;0,1,1,0;0,0,2,1")
     columns = []
     contains = NewtonPolyhedron.contains
@@ -975,14 +978,18 @@ def test_is_normal_runs_every_lp_on_the_base_ideal(monkeypatch):
         return contains(self, point)
 
     monkeypatch.setattr(newton.NewtonPolyhedron, "contains", counted)
-    assert is_normal(ideal).normal
-    assert columns == [len(ideal.generators)] * 5
+    verdict, asked = lp_points(lambda: is_normal(ideal))
+    assert verdict.normal
+    assert columns == [len(ideal.generators)] * 4
+    assert asked == [(1, (0, 0, 0, 1)), (1, (1, 0, 0, 1)), (2, (1, 2, 0, 0)), (3, (1, 2, 2, 1))]
 
 
 def test_cuts_learnt_at_one_power_serve_the_next(monkeypatch):
-    """Scanning I = (x^2, y^3) learns the one cut 3a + 2b < 6.  Read as
-    3a + 2b < 2*6 it rejects every outside point of I^2, so the scan of
-    the second power runs LPs only at its inside points (3,2) and (1,5)."""
+    """Scanning I = (x^2, y^3) is seeded with the one cut 3a + 2b < 6,
+    the lex-min point (1/2, 1/3) of the blocker, and learns none.  Read
+    as 3a + 2b < 2*6 it rejects every outside point of I^2, so the scan
+    of the second power runs LPs only at its inside points (3,2) and
+    (1,5)."""
     ideal = parse_ideal("2,0;0,3")
     poly = NewtonPolyhedron(ideal)
     assert integral_closure(ideal, power_of=(poly, 1)) == integral_closure(ideal)
@@ -1003,3 +1010,89 @@ def test_cuts_learnt_at_one_power_serve_the_next(monkeypatch):
     assert poly._cuts == [((3, 2), 6)]
     with pytest.raises(ValueError):
         integral_closure(ideal, power_of=(poly, 0))
+
+
+def rank(rows):
+    """The rank of integer rows, by Fraction elimination."""
+    rows = [list(map(Fraction, r)) for r in rows]
+    done = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(done, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[done], rows[pivot] = rows[pivot], rows[done]
+        for i in range(done + 1, len(rows)):
+            f = rows[i][col] / rows[done][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[done])]
+        done += 1
+    return done
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 5)] * n), min_size=1, max_size=6)
+))
+# the unit ideal; a zero entry; not m-primary; num_n = 0; four variables
+@example([(0, 0, 0), (1, 2, 0)])
+@example([(1, 0, 0)])
+@example([(0, 2, 0), (0, 0, 3)])
+@example([(1, 2, 0), (0, 6, 0)])
+@example([(1, 1, 0, 0), (1, 0, 0, 2), (0, 1, 1, 0), (0, 0, 2, 1)])
+def test_seed_is_the_lex_min_vertex_of_the_blocker(gens):
+    """The seed is a valid cut in lowest terms, tight on some generator.
+    It is a vertex of the blocker B = {w >= 0 : w.g >= 1}: the tight
+    generators and the unit vectors e_i with num_i = 0 have rank n.  It
+    equals the Fraction reference of the lex-min rule, and only the unit
+    ideal gets none."""
+    ideal = MonomialIdeal(len(gens[0]), gens)
+    seed = newton._blocker_lex_min(ideal.generators)
+    assert seed == lex_min_blocker(ideal.generators)
+    if seed is None:
+        assert ideal.generators == ((0,) * ideal.dim,)
+        return
+    num, den = seed
+    assert den > 0 and min(num) >= 0 and math.gcd(den, *num) == 1
+    assert min(dot(num, g) for g in ideal.generators) == den
+    tight = [g for g in ideal.generators if dot(num, g) == den]
+    units = [tuple(int(i == j) for j in range(ideal.dim)) for i, v in enumerate(num) if not v]
+    assert rank(tight + units) == ideal.dim
+
+
+def test_pure_power_closures_are_seeded_with_their_facet():
+    """On the closure of (x_1^l_1, .., x_n^l_n), for every tuple of [1,6]^3
+    and [1,4]^4, the seed is omega / L, the one compact facet, in lowest
+    terms since gcd(omega) = 1.  ``is_normal`` then runs no LP when the
+    closure is normal and one, at its witness, when it is not."""
+    tuples = [
+        *itertools.product(range(1, 7), repeat=3),
+        *itertools.product(range(1, 5), repeat=4),
+    ]
+    normal = 0
+    for lam in tuples:
+        spec = LambdaSpec(lam)
+        closure = ilambda_generators(spec)
+        assert newton._blocker_lex_min(closure.generators) == (spec.omega, spec.L)
+        verdict, asked = lp_points(lambda: is_normal(closure))
+        assert asked == ([] if verdict.normal else [(verdict.failing_power, verdict.witness)])
+        normal += verdict.normal
+    assert 0 < normal < len(tuples)
+
+
+def test_a_seed_that_fails_a_generator_is_refused(monkeypatch):
+    """The scan re-checks the seed in integers before it caches it."""
+    ideal = parse_ideal("2,0;0,3")
+    for bad in (((3, 1), 6), ((-1, 3), 2), ((3, 2), 5)):
+        monkeypatch.setattr(newton, "_blocker_lex_min", lambda gens: bad)
+        with pytest.raises(ConsistencyError):
+            integral_closure(ideal)
+        with pytest.raises(ConsistencyError):
+            is_normal(ideal)
+
+
+def test_unit_ideal_gets_no_seed_and_still_scans():
+    unit = MonomialIdeal(3, [(0, 0, 0)])
+    poly = NewtonPolyhedron(unit)
+    assert newton._blocker_lex_min(unit.generators) is None
+    closure, asked = lp_points(lambda: integral_closure(unit, power_of=(poly, 1)))
+    assert closure == unit and asked == [] and poly._cuts == []
+    assert is_normal(unit) == NormalityVerdict(True)
+    assert is_integrally_closed(unit) == (True, None)
