@@ -33,6 +33,7 @@ from .newton import (
     is_integrally_closed,
     is_normal,
     power,
+    power_closure,
 )
 from .ilambda import (
     CongruenceReduction,
@@ -91,6 +92,7 @@ __all__ = [
     "is_integrally_closed",
     "is_normal",
     "power",
+    "power_closure",
     "CongruenceReduction",
     "EQUIVALENT",
     "FORWARD_ONLY",

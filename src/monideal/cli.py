@@ -44,7 +44,7 @@ from .newton import (
     first_missing_generator,
     integral_closure,
     is_normal,
-    power,
+    power_closure,
 )
 from .rees import ReesSemigroup, height_one_primes, r1_satisfied
 
@@ -73,10 +73,7 @@ def cmd_closure(args) -> dict:
 
 def cmd_power_closure(args) -> dict:
     ideal = parse_ideal(args.gens)
-    pw = power(ideal, args.power)
-    closed = pw  # power 0: the unit ideal, its own closure
-    if args.power >= 1:
-        closed = integral_closure(pw, power_of=(NewtonPolyhedron(ideal), args.power))
+    pw, closed = power_closure(ideal, args.power)
     witness = first_missing_generator(pw, reversed(closed.generators))
     return {
         "gens": format_ideal(ideal),

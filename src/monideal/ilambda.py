@@ -230,13 +230,18 @@ class LambdaNormalityVerdict:
     method: str  # "n<=2" | "gcd" | "exhaustive"
 
 
-def is_normal_lambda(
-    spec: LambdaSpec, force_enumeration: bool = False
-) -> LambdaNormalityVerdict:
+def is_normal_lambda(spec: LambdaSpec) -> LambdaNormalityVerdict:
     """Decide normality of the closure ideal of the axis ideal.
 
     Fast paths: at most two variables, and gcd(lam) > n - 2; both are
-    always normal.  Otherwise it suffices to check points of the open box
+    always normal, and neither runs the level scan below, so it is no
+    reference for them.  The tests check each fast path against two
+    routes that share no code with it: ``is_normal`` of the Newton
+    closure of ``j_ideal(spec)`` and the brute-force
+    ``oracles.normality_oracle``, on every tuple of [1,5]^2, every even
+    triple of [2,6]^3 and every triple of [1,8]^3 with gcd > 1.
+
+    Otherwise it suffices to check points of the open box
     a_i < lam_i: the closure ideal is normal iff every such a with
     omega . a >= p * L, 2 <= p < n, splits into p closure-set parts
     (p = 1 needs no check: such an a is its own one-part split).  The
@@ -267,11 +272,10 @@ def is_normal_lambda(
     matter, so the verdict and witness are those of a search in weight
     order."""
     n = spec.n
-    if not force_enumeration:
-        if n <= 2:
-            return LambdaNormalityVerdict(True, None, "n<=2")
-        if gcd(*spec.lam) > n - 2:
-            return LambdaNormalityVerdict(True, None, "gcd")
+    if n <= 2:
+        return LambdaNormalityVerdict(True, None, "n<=2")
+    if gcd(*spec.lam) > n - 2:
+        return LambdaNormalityVerdict(True, None, "gcd")
     omega, L = spec.omega, spec.L
     gens = ilambda_generators(spec).generators
     weights = spec._closure[1]

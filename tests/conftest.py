@@ -5,7 +5,7 @@ import math
 import random
 from fractions import Fraction
 
-from monideal import MonomialIdeal
+from monideal import MonomialIdeal, newton
 from monideal.oracles import le_pr
 
 
@@ -22,6 +22,14 @@ def antichains_2d(max_exp):
         for xs in itertools.combinations(vals, k):
             for ys in itertools.combinations(vals, k):
                 yield tuple((x, y) for x, y in zip(xs, sorted(ys, reverse=True)))
+
+
+def scaled_closure(poly, m):
+    """The closure of I^m, I = ``poly.ideal``, scanned on m.NP(I) with the
+    cut cache of ``poly``: the scan of ``power_closure``, on a polyhedron
+    that the caller keeps across powers and can read."""
+    pw = newton.power(poly.ideal, m)
+    return MonomialIdeal.from_antichain(pw.dim, newton._closure_points(pw, poly, m))
 
 
 def random_ideal_corpus(count, seed, max_dim=3, max_exp=4, max_gens=5):

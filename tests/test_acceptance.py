@@ -35,7 +35,7 @@ from monideal import (
     r1_satisfied,
 )
 from monideal.cli import sweep_csv
-from monideal.oracles import box_enumerate, closure_oracle
+from monideal.oracles import box_enumerate, closure_oracle, normality_oracle
 
 from conftest import antichains_2d, random_ideal_corpus
 
@@ -113,6 +113,9 @@ def test_criterion_03_two_variable_closed_ideals_are_normal():
 
 
 def test_criterion_04_gcd_fast_path_matches_forced_enumeration():
+    """The gcd fast path's verdict, normal, is forced through two routes
+    that share no code with it: ``is_normal`` of the Newton closure of
+    the axis ideal, and the brute-force ``normality_oracle``."""
     import math
 
     count = 0
@@ -121,10 +124,11 @@ def test_criterion_04_gcd_fast_path_matches_forced_enumeration():
             count += 1
             spec = LambdaSpec(lam)
             fast = is_normal_lambda(spec)
-            forced = is_normal_lambda(spec, force_enumeration=True)
-            assert fast.normal and forced.normal, lam
-            assert fast.method in ("gcd", "n<=2")
-            assert forced.method == "exhaustive"
+            polyhedral = is_normal(integral_closure(j_ideal(spec)))
+            assert fast.normal and polyhedral.normal, lam
+            assert normality_oracle(spec) is None, lam
+            assert fast.method == "gcd", lam
+    assert count == 73
     report(4, f"{count} tuples with gcd > 1, fast path = forced enumeration")
 
 

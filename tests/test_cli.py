@@ -74,11 +74,13 @@ def test_normal_requires_exactly_one_input_form(capsys):
 
 
 def test_normal_has_no_force_enumeration_option(capsys):
-    """Skipping the fast paths is a library keyword for the tests, not a
-    CLI option: argparse refuses the flag."""
+    """Nothing skips the fast paths: argparse refuses the flag, and
+    ``is_normal_lambda`` takes the spec alone."""
     code, out, err = run_cli(capsys, "normal", "--lambda", "3,3,3", "--force-enumeration")
     assert code == 2 and out == ""
     assert "unrecognized arguments: --force-enumeration" in err
+    with pytest.raises(TypeError):
+        ilambda.is_normal_lambda(ilambda.LambdaSpec((3, 3, 3)), force_enumeration=True)
 
 
 def test_ilambda_gens_command(capsys):

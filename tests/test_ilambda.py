@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from monideal import (
     EQUIVALENT,
     FORWARD_ONLY,
+    LambdaNormalityVerdict,
     LambdaSpec,
     ReesSemigroup,
     congruence_reduce,
@@ -25,6 +26,7 @@ from monideal import (
     grp_facet_check,
     ilambda_generators,
     integral_closure,
+    is_normal,
     is_normal_lambda,
     j_ideal,
     parse_ideal,
@@ -142,6 +144,11 @@ def test_decompose_agrees_with_exhaustive_split_search():
             for a in box_enumerate(tuple(min(2 * v, 8) for v in lam)):
                 found = decompose(spec, a, p) is not None
                 assert found == split_oracle(spec, a, p), (lam, a, p)
+
+
+def test_split_oracle_needs_a_positive_part_count():
+    with pytest.raises(ValueError, match="part count must be positive, got 0"):
+        split_oracle(LambdaSpec((2, 3)), (1, 1), 0)
 
 
 @given(st.data())
@@ -363,10 +370,11 @@ LAMBDA_CAPS = {3: 16, 4: 9, 5: 6, 6: 5}
 def test_level_test_agrees_with_split_search(lam):
     """``is_normal_lambda``'s level test gives the verdict and witness of
     the full split search.  It answers differently on some points no
-    scan reaches: (7, 9, 11, 13) at (5, 7, 9, 9), p = 3."""
+    scan reaches: (7, 9, 11, 13) at (5, 7, 9, 9), p = 3.  On the tuples
+    a fast path takes, the split search checks the fast path's verdict."""
     spec = LambdaSpec(lam)
     witness = reference_normality_scan(spec)
-    verdict = is_normal_lambda(spec, force_enumeration=True)
+    verdict = is_normal_lambda(spec)
     assert (verdict.normal, verdict.witness) == (witness is None, witness)
 
 
@@ -400,7 +408,8 @@ def test_level_test_agrees_with_plain_level_scan():
     """The first-try order, and the ideal's order among generators of
     equal weight, change no verdict or witness, on every sorted tuple of
     3x14, 4x9 and 5x5 and on each one reversed, where the last
-    coordinate, and with it the scan order, differs."""
+    coordinate, and with it the scan order, differs.  On the tuples a fast
+    path takes, the plain scan checks the fast path's verdict."""
     for lam in itertools.chain(
         itertools.combinations_with_replacement(range(1, 15), 3),
         itertools.combinations_with_replacement(range(1, 10), 4),
@@ -409,7 +418,7 @@ def test_level_test_agrees_with_plain_level_scan():
         for order in (lam, lam[::-1]):
             spec = LambdaSpec(order)
             witness = plain_level_scan(spec)
-            verdict = is_normal_lambda(spec, force_enumeration=True)
+            verdict = is_normal_lambda(spec)
             assert (verdict.normal, verdict.witness) == (witness is None, witness), order
 
 
@@ -430,7 +439,7 @@ def test_split_test_agrees_with_decompose(lam, lift):
     spec = LambdaSpec(lam)
     L = spec.L
     gens = ilambda_generators(spec).generators
-    verdict = is_normal_lambda(spec, force_enumeration=True)
+    verdict = is_normal_lambda(spec)
     last_level = spec.n if verdict.normal else verdict.witness[0]
     box = tuple(min(v - 1, 12) for v in lam[:-1]) + (5,)
     for p in range(2, last_level + 1):
@@ -513,21 +522,25 @@ def test_normality_witness_fails_to_split_and_is_first():
     for lam in tuples:
         spec = LambdaSpec(lam)
         witness = normality_oracle(spec)
-        assert is_normal_lambda(spec, force_enumeration=True).witness == witness, lam
-        assert is_normal_lambda(spec).normal == (witness is None), lam
+        verdict = is_normal_lambda(spec)
+        assert (verdict.normal, verdict.witness) == (witness is None, witness), lam
         if witness is not None:
             assert decompose(spec, witness[1], witness[0]) is None, lam
 
 
 def test_forced_enumeration_agrees_with_fast_paths():
-    for lam in itertools.product(range(1, 6), repeat=2):
-        assert is_normal_lambda(LambdaSpec(lam), force_enumeration=True).normal
-    for lam in itertools.product(range(2, 7, 2), repeat=3):
+    """Each fast path's verdict, normal, is forced through two routes
+    that share no code with it: ``is_normal`` of the Newton closure of
+    the axis ideal, and the brute-force ``normality_oracle``."""
+    cases = [
+        *((lam, "n<=2") for lam in itertools.product(range(1, 6), repeat=2)),
+        *((lam, "gcd") for lam in itertools.product(range(2, 7, 2), repeat=3)),
+    ]
+    for lam, method in cases:
         spec = LambdaSpec(lam)
-        fast = is_normal_lambda(spec)
-        forced = is_normal_lambda(spec, force_enumeration=True)
-        assert fast.method == "gcd" and forced.method == "exhaustive"
-        assert fast.normal == forced.normal == True  # noqa: E712
+        assert is_normal_lambda(spec) == LambdaNormalityVerdict(True, None, method), lam
+        assert is_normal(integral_closure(j_ideal(spec))).normal, lam
+        assert normality_oracle(spec) is None, lam
 
 
 def test_congruence_examples():

@@ -25,12 +25,18 @@ from monideal import (
 )
 from monideal.ilambda import congruence_reduce, decompose, ilambda_generators
 from monideal.lattice import any_below
-from monideal.newton import INSIDE, integral_closure, power
+from monideal.newton import INSIDE, power
 from monideal.monoid import quasinormal_window
 from monideal.rees import express_on_facet, grp_facet_check
 from monideal.oracles import box_enumerate, le_pr
 
-from conftest import climb, lex_min_blocker, minimal_points, pairwise_minimal
+from conftest import (
+    climb,
+    lex_min_blocker,
+    minimal_points,
+    pairwise_minimal,
+    scaled_closure,
+)
 
 small_vec = st.lists(st.integers(0, 6), min_size=1, max_size=4).map(tuple)
 vec3 = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
@@ -388,7 +394,7 @@ def test_newton_column_floor_runs_the_climbs_lps(ideal):
         reference = minimal_points(
             bounds, climb(lambda a: a in gens or scaled_member(climbing, a, m))
         )
-        closure = integral_closure(pw, power_of=(jumping, m))
+        closure = scaled_closure(jumping, m)
         assert closure == MonomialIdeal.from_antichain(dim, reference)
         assert jumping.asked == climbing.asked
         assert jumping._cuts == climbing._cuts
@@ -554,7 +560,7 @@ def test_vector_round_trip(v):
 def _warm_polyhedron():
     ideal = MonomialIdeal(2, [(2, 0), (0, 2)])
     poly = NewtonPolyhedron(ideal)
-    integral_closure(ideal, power_of=(poly, 1))
+    scaled_closure(poly, 1)
     assert poly._cuts
     return poly
 

@@ -28,11 +28,12 @@ from monideal import (
     is_normal_lambda,
     parse_ideal,
     power,
+    power_closure,
 )
 from monideal.lattice import ConsistencyError
 from monideal.oracles import box_enumerate, closure_oracle, dot, le_pr, power_membership
 
-from conftest import lex_min_blocker, pairwise_minimal, random_ideal_corpus
+from conftest import lex_min_blocker, pairwise_minimal, random_ideal_corpus, scaled_closure
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -438,6 +439,19 @@ def test_caratheodory_validates_input():
 def test_affinely_independent_refuses_mixed_dimensions(points):
     with pytest.raises(ValueError, match="points of mixed dimensions"):
         affinely_independent(points)
+
+
+def test_no_points_are_affinely_independent():
+    assert affinely_independent([])
+
+
+def test_contains_refuses_a_certificate_that_fails_verification(monkeypatch):
+    """Both verdicts are re-verified before they are handed out."""
+    poly = NewtonPolyhedron(parse_ideal("2,0;0,2"))
+    monkeypatch.setattr(MembershipCertificate, "verify", lambda self, poly: False)
+    for point in ((1, 1), (1, 0)):
+        with pytest.raises(ConsistencyError, match="failed re-verification"):
+            poly.contains(point)
 
 
 @settings(max_examples=60, deadline=None)
@@ -849,19 +863,37 @@ def test_normal_ideal_powers_stay_closed():
         assert is_integrally_closed(power(ideal, m))[0]
 
 
+def record_lps(run):
+    """Run ``run()`` and list every LP it runs as (ideal, point)."""
+    asked = []
+    contains = NewtonPolyhedron.contains
+
+    def recorded(self, point):
+        asked.append((self.ideal, point))
+        return contains(self, point)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(newton.NewtonPolyhedron, "contains", recorded)
+        return run(), asked
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_scaled_polyhedron_matches_each_power_polyhedron(data):
-    """The closure of I^m scanned on m.NP(I) equals the closure scanned on
-    NP(I^m), and is_normal on the one scaled polyhedron gives the verdict
-    of the loop over is_integrally_closed(power(I, m))."""
+    """``power_closure(I, m)`` is (I^m, the closure of I^m on NP(I^m)),
+    and every LP it runs is on NP(I) itself, at a point a/m: a scan of
+    NP(I^m) would run its LPs on I^m at integer points.  is_normal on
+    the one scaled polyhedron gives the verdict of the loop over
+    is_integrally_closed(power(I, m))."""
     dim = data.draw(st.integers(2, 4))
     vec = st.lists(st.integers(0, 5), min_size=dim, max_size=dim).map(tuple)
     ideal = MonomialIdeal(dim, data.draw(st.lists(vec, min_size=1, max_size=5)))
-    m = data.draw(st.sampled_from([1, 2, 3]))
+    m = data.draw(st.sampled_from([0, 1, 2, 3]))
     pw = power(ideal, m)
-    scaled = integral_closure(pw, power_of=(NewtonPolyhedron(ideal), m))
-    assert scaled == integral_closure(pw)
+    result, asked = record_lps(lambda: power_closure(ideal, m))
+    assert result == (pw, integral_closure(pw))
+    assert all(lp_ideal == ideal for lp_ideal, _ in asked)
+    assert all(m % x.denominator == 0 for _, point in asked for x in point)
 
     expected = NormalityVerdict(True)
     for k in range(1, max(1, dim - 1) + 1):
@@ -872,11 +904,25 @@ def test_scaled_polyhedron_matches_each_power_polyhedron(data):
     assert is_normal(ideal) == expected
 
 
+def test_power_closure_takes_its_power_exactly():
+    """m = 0 gives the unit ideal twice, with no LP; a negative or
+    fractional m raises, and an integer string is taken as its int."""
+    ideal = parse_ideal("2,0;0,3")
+    unit = MonomialIdeal(2, [(0, 0)])
+    assert record_lps(lambda: power_closure(ideal, 0)) == ((unit, unit), [])
+    assert power_closure(ideal, "2") == power_closure(ideal, 2)
+    assert format_ideal(power_closure(ideal, 2)[1]) == "4,0;3,2;2,3;1,5;0,6"
+    with pytest.raises(ValueError, match="^power must be nonnegative, got -1$"):
+        power_closure(ideal, -1)
+    with pytest.raises(ValueError, match="^power must be an integer, got 2.5$"):
+        power_closure(ideal, 2.5)
+
+
 def eager_witness(ideal, m, poly):
     """The full closure of I^m, scanned to its end, then the least of its
     generators outside I^m: the route before the scan stopped early."""
     pw = power(ideal, m)
-    closed = integral_closure(pw, power_of=(poly, m))
+    closed = scaled_closure(poly, m)
     return min((g for g in closed.generators if g not in pw.generators), default=None)
 
 
@@ -992,7 +1038,7 @@ def test_cuts_learnt_at_one_power_serve_the_next(monkeypatch):
     (1,5)."""
     ideal = parse_ideal("2,0;0,3")
     poly = NewtonPolyhedron(ideal)
-    assert integral_closure(ideal, power_of=(poly, 1)) == integral_closure(ideal)
+    assert scaled_closure(poly, 1) == integral_closure(ideal)
     assert poly._cuts == [((3, 2), 6)]
     points = []
     contains = NewtonPolyhedron.contains
@@ -1003,13 +1049,11 @@ def test_cuts_learnt_at_one_power_serve_the_next(monkeypatch):
         return cert
 
     monkeypatch.setattr(newton.NewtonPolyhedron, "contains", counted)
-    closed = integral_closure(power(ideal, 2), power_of=(poly, 2))
+    closed = scaled_closure(poly, 2)
     assert format_ideal(closed) == "4,0;3,2;2,3;1,5;0,6"
     half = Fraction(1, 2)
     assert points == [((half, 5 * half), INSIDE), ((3 * half, 1), INSIDE)]
     assert poly._cuts == [((3, 2), 6)]
-    with pytest.raises(ValueError):
-        integral_closure(ideal, power_of=(poly, 0))
 
 
 def rank(rows):
@@ -1092,7 +1136,7 @@ def test_unit_ideal_gets_no_seed_and_still_scans():
     unit = MonomialIdeal(3, [(0, 0, 0)])
     poly = NewtonPolyhedron(unit)
     assert newton._blocker_lex_min(unit.generators) is None
-    closure, asked = lp_points(lambda: integral_closure(unit, power_of=(poly, 1)))
+    closure, asked = lp_points(lambda: scaled_closure(poly, 1))
     assert closure == unit and asked == [] and poly._cuts == []
     assert is_normal(unit) == NormalityVerdict(True)
     assert is_integrally_closed(unit) == (True, None)

@@ -173,6 +173,35 @@ def test_r1_equals_almost_quasinormality_everywhere():
         assert ok == almost_quasinormal(spec), lam
 
 
+def test_r1_raises_when_its_routes_disagree(monkeypatch):
+    """A monoid route that contradicts the semigroup route is raised, not
+    resolved: (2, 3) has the sigma-one generator (1, 1, 1) and is almost
+    quasinormal, and (2, 3, 7) has neither."""
+    for lam in ((2, 3), (2, 3, 7)):
+        spec = LambdaSpec(lam)
+        answer = almost_quasinormal(spec)
+        monkeypatch.setattr(rees, "almost_quasinormal", lambda spec: not answer)
+        with pytest.raises(ConsistencyError, match="regularity routes disagree"):
+            r1_satisfied(spec)
+
+
+def test_express_on_facet_reconstructs_its_split(monkeypatch):
+    """On (2, 2) the facet point (1, 1, 1) leaves the remainder (1, 1) for
+    a one-part split.  A split that does not add up to it is refused, and
+    a remainder that does not split gives None, so the facet check of a
+    cube holding the point fails."""
+    S = ReesSemigroup(LambdaSpec((2, 2)))
+    assert express_on_facet(S, (1, 1, 1)) == (((1, 1, 1), 1),)
+    assert grp_facet_check(S, 1)
+    monkeypatch.setattr(rees, "decompose", lambda spec, a, p: ((2, 0),))
+    with pytest.raises(ConsistencyError, match="does not reconstruct"):
+        express_on_facet(S, (1, 1, 1))
+    monkeypatch.setattr(rees, "decompose", lambda spec, a, p: None)
+    assert express_on_facet(S, (1, 1, 1)) is None
+    assert express_on_facet(S, (2, 0, 1)) == (((2, 0, 1), 1),)
+    assert not grp_facet_check(S, 1)
+
+
 def test_express_on_facet_round_trips():
     S = ReesSemigroup(LambdaSpec((2, 3)))
     for point in ((0, 0, 0), (2, 0, 1), (-2, 3, 0), (4, -3, 1)):
