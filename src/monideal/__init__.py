@@ -56,7 +56,6 @@ from .monoid import (
     conductor,
     default_window_bound,
     in_M,
-    membership_table,
     quasinormal_window,
 )
 from .rees import (
@@ -111,7 +110,6 @@ __all__ = [
     "conductor",
     "default_window_bound",
     "in_M",
-    "membership_table",
     "quasinormal_window",
     "MonomialPrime",
     "ReesSemigroup",

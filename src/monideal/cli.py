@@ -33,9 +33,9 @@ from .lattice import (
 )
 from .monoid import (
     FAILURE,
+    QUASINORMAL_ON_WINDOW,
     almost_quasinormal,
     default_window_bound,
-    membership_table,
     quasinormal_window,
 )
 from .newton import (
@@ -255,6 +255,7 @@ def seed_fixtures(outdir: str) -> list[str]:
     parts-maximization table, brute-force membership table) rather than
     the production algorithms."""
     # imported here: the brute-force layer serves only this command
+    from .monoid import membership_table
     from .oracles import closure_oracle, normality_oracle, window_split_oracle
 
     os.makedirs(outdir, exist_ok=True)
@@ -276,7 +277,7 @@ def seed_fixtures(outdir: str) -> list[str]:
         "r1": target_in_monoid,  # the monoid route; sigma-scan must match
         "window": {
             "bound": bound,
-            "status": "quasinormal-on-window" if win is None else "failure",
+            "status": QUASINORMAL_ON_WINDOW if win is None else FAILURE,
             "witness": None if win is None else {"s": win[0], "p": win[1]},
         },
         "ilambda_generators": format_ideal(closure_oracle(j_ideal(spec))),

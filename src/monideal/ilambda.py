@@ -324,7 +324,7 @@ def congruence_reduce(spec: LambdaSpec, i: int) -> CongruenceReduction:
     if not 1 <= i <= spec.n:
         raise ValueError(f"index must be in 1..{spec.n}, got {i}")
     others = spec.lam[: i - 1] + spec.lam[i:]
-    ell = lcm(*others) if others else 1
+    ell = lcm(*others)
     bumped = spec.lam[: i - 1] + (spec.lam[i - 1] + ell,) + spec.lam[i:]
     relation = EQUIVALENT if spec.lam[i - 1] >= ell else FORWARD_ONLY
     return CongruenceReduction(spec, i, ell, bumped, relation)

@@ -73,7 +73,7 @@ def minimalize(points: Iterable[Vec]) -> tuple[Vec, ...]:
     as ``newton.power`` decodes its sums, calls that scan directly.
     """
     pts = sorted({as_vec(p) for p in points})
-    if pts and any(len(p) != len(pts[0]) for p in pts):
+    if any(len(p) != len(pts[0]) for p in pts):
         raise DimensionMismatch("points of mixed dimensions")
     return _minimal_sorted(pts)
 

@@ -141,9 +141,8 @@ def quasinormal_window(spec: LambdaSpec, bound: int | None = None) -> WindowVerd
     that are no sum of at most p coins: a gap e leaves it when e - j is a
     sum of at most p - 1 coins for some coin j.  E and its gaps are read
     off the bitset of M between L and 2L, and each level holds its
-    pending gaps as one int bitset; a gap drops out once p*L + e passes
-    the bound.  Past 2L, p*L + e is in M iff it reaches the conductor or
-    its bit is set.
+    pending gaps as one int bitset.  Past 2L, p*L + e is in M iff it
+    reaches the conductor or its bit is set.
 
     Each level first sweeps its smallest coins over all its gaps at once:
     coin j, ascending, clears every gap with e - j among the sums of at
@@ -159,8 +158,14 @@ def quasinormal_window(spec: LambdaSpec, bound: int | None = None) -> WindowVerd
     p*L + e in M.  A window whose first gap lies below its first coin,
     as a window that fails at its first gaps mostly does, goes straight
     to the per-gap tests.  A gap kept at level p has p*L + e below the
-    conductor, so the last level starts within L of the conductor or the
-    bound, whichever is less: the cost does not grow with the bound.
+    conductor, so the last level starts within L of the conductor.
+
+    The levels do not read the bound: the search runs to the least
+    failure, which lies below c + L (proved below), or to the end of the
+    gaps, and the bound decides only whether that failure is reported; a
+    failure past the bound gives a clean window.  So the cost neither
+    grows nor shrinks with the bound.  A bound below L gives a vacuous
+    window.
 
     Any bound >= max(L, c + L - 1), c the conductor, decides
     quasinormality exactly, and so does the default bound,
@@ -197,9 +202,6 @@ def quasinormal_window(spec: LambdaSpec, bound: int | None = None) -> WindowVerd
     while pending:
         p += 1
         base = p * L
-        if bound - base < L:
-            # a gap past the bound stays past it at every later level
-            pending &= (1 << max(bound - base + 1, 0)) - 1
         # the coin sweep: each coin j, ascending, splits at once every
         # pending gap e with e - j in reach
         rest, tried, untried = pending, 0, coins ^ 1
@@ -220,6 +222,8 @@ def quasinormal_window(spec: LambdaSpec, bound: int | None = None) -> WindowVerd
                 continue
             s = base + e
             if s >= c or view[s >> 3] >> (s & 7) & 1:
+                if s > bound:
+                    return WindowVerdict(QUASINORMAL_ON_WINDOW, None, bound)
                 return WindowVerdict(FAILURE, (s, p), bound)
             kept |= 1 << e
         # reach gains the gaps split at this level (pending is split and

@@ -350,9 +350,8 @@ class NewtonPolyhedron(Frozen):
         """Decide membership of a nonnegative rational point; the returned
         certificate has been re-verified before it is handed out."""
         p = as_rational_point(point)
-        if len(p) != self.ideal.dim:
-            require_same_dim(p, (0,) * self.ideal.dim)
         gens = self.ideal.generators
+        require_same_dim(p, gens[0])
         q = math.lcm(*(x.denominator for x in p))
         verdict, x, den = _phase1(gens, _scaled(p, q), q)
         if verdict == INSIDE:
@@ -412,8 +411,6 @@ def affinely_independent(points: Sequence[Iterable]) -> bool:
     """Whether the points, all of one dimension, are affinely
     independent; points of mixed dimensions raise ValueError."""
     pts = [tuple(map(as_rational, p)) for p in points]
-    if not pts:
-        return True
     if any(len(p) != len(pts[0]) for p in pts):
         raise ValueError("points of mixed dimensions")
     return _affine_dependence(pts) is None
@@ -472,10 +469,10 @@ def caratheodory_reduce(
 
 def power(ideal: MonomialIdeal, m: int) -> MonomialIdeal:
     """The m-th power: minimalized m-fold sums of generators.  m = 0 gives
-    the unit ideal by convention, and m = 1 the ideal itself, whose
-    generators are already minimal.
+    the unit ideal, whose one generator is the one empty sum, 0, and
+    m = 1 the ideal itself, whose generators are already minimal.
 
-    For m >= 2 each generator is packed into one int, a field of ``shift``
+    For m != 1 each generator is packed into one int, a field of ``shift``
     bits per coordinate with the first coordinate highest, so that one
     int addition adds every coordinate at once (Lamport, CACM 1975).  A
     field of an m-fold sum is at most m * max exponent < 2**shift, so no
@@ -487,8 +484,6 @@ def power(ideal: MonomialIdeal, m: int) -> MonomialIdeal:
     m = lattice.as_int(m, "power")
     if m < 0:
         raise ValueError(f"power must be nonnegative, got {m}")
-    if m == 0:
-        return MonomialIdeal(ideal.dim, [(0,) * ideal.dim])
     if m == 1:
         return ideal
     shift = (m * max(map(max, ideal.generators))).bit_length() or 1

@@ -29,12 +29,12 @@ from monideal import (
     is_normal,
     is_normal_lambda,
     j_ideal,
-    membership_table,
     power,
     quasinormal_window,
     r1_satisfied,
 )
 from monideal.cli import sweep_csv
+from monideal.monoid import membership_table
 from monideal.oracles import box_enumerate, closure_oracle, normality_oracle
 
 from conftest import antichains_2d, random_ideal_corpus

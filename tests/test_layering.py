@@ -89,10 +89,12 @@ def test_production_module_holds_no_oracle_helper(name):
 
 
 def test_package_names_are_the_oracle_helpers():
-    """The helpers are callables of ``oracles`` and no name of the package."""
+    """The helpers are callables of ``oracles`` and no name of the package,
+    nor is ``monoid.membership_table``, the brute-force table they read."""
     for name in ORACLE_HELPERS:
         assert callable(getattr(oracles, name)), name
         assert not hasattr(monideal, name), name
+    assert not hasattr(monideal, "membership_table")
 
 
 def _fraction_casts(tree: ast.Module) -> list[tuple[str | None, int]]:

@@ -19,10 +19,10 @@ from monideal import (
     default_window_bound,
     in_M,
     is_normal_lambda,
-    membership_table,
     WindowVerdict,
     quasinormal_window,
 )
+from monideal.monoid import membership_table
 from monideal.oracles import max_parts_table, normality_oracle, window_split_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -248,11 +248,14 @@ def test_default_window_decides_quasinormality():
     and so s < c + L; the default bound is such a bound.  On the 6267
     tuples of 3x24, 4x14 and 5x9 (526 of them with c = 0), the default,
     least and unbounded windows give one status and witness, and each of
-    the 1203 failures obeys the proof's bound."""
+    the 1203 failures obeys the proof's bound.  The bound only filters
+    that answer: below L the window is vacuous, and a failure (s, p) is
+    reported by the window at s and by none below it."""
     tuples = failures = 0
     for lam in sorted_tuples(*SMALL_SWEEPS):
         spec = LambdaSpec(lam)
         L, c = spec.L, conductor(spec)
+        assert quasinormal_window(spec, L - 1).status == VACUOUS, lam
         verdicts = {
             (v.status, v.witness)
             for v in (quasinormal_window(spec, b) for b in (None, max(L, c + L - 1), 10**30))
@@ -265,6 +268,8 @@ def test_default_window_decides_quasinormality():
             failures += 1
             s, p = witness
             assert s < c + L and not in_M(spec, s - L), lam
+            assert quasinormal_window(spec, s - 1).status == QUASINORMAL_ON_WINDOW, lam
+            assert quasinormal_window(spec, s).witness == (s, p), lam
     assert (tuples, failures) == (6267, 1203)
 
 
@@ -331,8 +336,9 @@ def test_window_agrees_with_parts_maximization_oracle():
     """The gap levels must give the same verdict and witness as the
     literal maximization table, which is computed very differently.
     On (3,4,7,11), L = 924, the gap 1 survives level 2 (1849 is not in
-    M): at bound 1849 level 3 starts and the window is clean, and at
-    1850 the gap 2 fails.  The three tuples with L = 2310 turn on single
+    M) and the gap 2 fails at 1850: at bound 1849 the search stops on
+    that failure and reports the window clean, since 1850 > 1849, and at
+    1850 it reports the failure.  The three tuples with L = 2310 turn on single
     coins at level 2: a gap list that took one coin e with L + e = ap[r]
     for a gap changes each verdict or witness."""
     cases = [
